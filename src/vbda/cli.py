@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: fit, predict, simulate, cv, consistency, oracle.  Every run
-writes its data files plus a metadata.json (full config, seed, package
-version, wall-clock timing) into --out-dir; fit additionally writes a
+Subcommands: fit, predict, simulate, cv, consistency, oracle.  Every
+successful run writes its data files plus a metadata.json (full config,
+seed, package version, wall-clock timing) into --out-dir; fit also writes a
 diagnostics sidecar (cycle count, final delta, floored variables).  Data
 files are deterministic given the flags and seed; only the metadata record
 carries timing.  stdout is reserved for human-readable progress.
@@ -97,7 +97,7 @@ def _out_dir(args) -> str:
     return args.out_dir
 
 
-def _write_metadata(args, out_dir: str, seconds: float, extra: dict | None = None) -> None:
+def _write_metadata(args, seconds: float) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {
         "command": args.command,
@@ -106,9 +106,7 @@ def _write_metadata(args, out_dir: str, seconds: float, extra: dict | None = Non
         "version": _version(),
         "timings": {"seconds": seconds},
     }
-    if extra:
-        doc.update(extra)
-    write_json(doc, os.path.join(out_dir, "metadata.json"))
+    write_json(doc, os.path.join(args.out_dir, "metadata.json"))
 
 
 def _load_training(args) -> Dataset:
@@ -116,7 +114,6 @@ def _load_training(args) -> Dataset:
 
 
 def cmd_fit(args) -> int:
-    t0 = time.perf_counter()
     d = _load_training(args)
     h = _hyper_from_args(args)
     fitter = fit_vlda if args.model == "vlda" else fit_vqda
@@ -135,9 +132,6 @@ def cmd_fit(args) -> int:
         "selected_count": int(sum(r["selected"] for r in rows)),
     }
     write_json(diagnostics, os.path.join(out, "fit_diagnostics.json"))
-    seconds = time.perf_counter() - t0
-    diagnostics["fit_seconds"] = seconds
-    _write_metadata(args, out, seconds)
     if not f.converged:
         print(
             f"warning: stopped after {f.cycles_run} cycles with squared step "
@@ -152,7 +146,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    t0 = time.perf_counter()
     f = load_state(args.state)
     d = load_csv(args.data, label_column=args.label)
     aligned = align_to_columns(d, f.columns)
@@ -162,7 +155,6 @@ def cmd_predict(args) -> int:
     rows = prediction_rows(pred)
     write_tsv(rows, os.path.join(out, "predictions.tsv"), ("row_id", "y_tilde", "label"))
     write_json(rows, os.path.join(out, "predictions.json"))
-    _write_metadata(args, out, time.perf_counter() - t0)
     if not pred.converged:
         print("warning: coupled label updates did not converge", file=sys.stderr)
     print(f"predicted {len(rows)} rows with {f.model} -> {out}")
@@ -185,7 +177,6 @@ def _setting_from_args(args) -> SimSetting:
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
     s = _setting_from_args(args)
     r = generate(s)
     out = _out_dir(args)
@@ -201,7 +192,6 @@ def cmd_simulate(args) -> int:
         },
         os.path.join(out, "truth.json"),
     )
-    _write_metadata(args, out, time.perf_counter() - t0)
     print(
         f"simulated setting {args.setting}: p={s.p}, n_train={s.n_train}, "
         f"n_valid={s.n_valid}, n_test={s.n_test} -> {out}"
@@ -210,7 +200,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    t0 = time.perf_counter()
     d = _load_training(args)
     h = _hyper_from_args(args)
     report = kfold_cv(
@@ -223,22 +212,17 @@ def cmd_cv(args) -> int:
             "rep": i,
             "misclassified": r.misclassified,
             "error": r.error,
-            "fit_seconds": r.fit_seconds,
-            "predict_seconds": r.predict_seconds,
         }
         for i, r in enumerate(report.reps)
     ]
-    write_tsv(rows, os.path.join(out, "cv_report.tsv"),
-              ("rep", "misclassified", "error", "fit_seconds", "predict_seconds"))
+    write_tsv(rows, os.path.join(out, "cv_report.tsv"), ("rep", "misclassified", "error"))
     write_json(rows, os.path.join(out, "cv_report.json"))
-    _write_metadata(args, out, time.perf_counter() - t0)
     med = float(np.median(report.errors))
     print(f"cv {args.model}: k={args.k}, reps={args.reps}, median error {med:.4f} -> {out}")
     return 0
 
 
 def cmd_consistency(args) -> int:
-    t0 = time.perf_counter()
     try:
         ns = tuple(int(tok) for tok in str(args.n or "100,400,1600").split(",") if tok)
     except ValueError:
@@ -273,7 +257,6 @@ def cmd_consistency(args) -> int:
         for tag, curve in (("tau1", result.at_tau1), ("converged", result.at_convergence))
     }
     write_json(medians, os.path.join(out, "consistency.json"))
-    _write_metadata(args, out, time.perf_counter() - t0)
     med_e = medians["converged"][str(ns[-1])]["E"]
     print(f"consistency {args.model}: ns={ns}, reps={args.reps}, "
           f"median E at n={ns[-1]}: {med_e:.3f} -> {out}")
@@ -281,7 +264,6 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    t0 = time.perf_counter()
     d = _load_training(args)
     new = load_csv(args.new)
     if new.X.shape[0] != 1:
@@ -308,7 +290,6 @@ def cmd_oracle(args) -> int:
         },
         os.path.join(out, "oracle.json"),
     )
-    _write_metadata(args, out, time.perf_counter() - t0)
     print(f"enumerated {ep.gammas.shape[0]} configurations over p={d.p} -> {out}")
     return 0
 
@@ -323,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, model=True):
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="upper bound on worker threads (vectorized code path uses one)")
         p.add_argument("--out-dir", default=".", help="directory for outputs")
         if model:
             p.add_argument("--model", choices=("vlda", "vqda"), default="vlda")
@@ -389,7 +368,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        rc = args.func(args)
+        if rc == 0:
+            _write_metadata(args, time.perf_counter() - t0)
+        return rc
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

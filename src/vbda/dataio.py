@@ -238,37 +238,36 @@ def apply_pipeline(pl: PreprocessPipeline, d: Dataset) -> PipelineResult:
     return PipelineResult(dataset=out, kept_indices=tuple(kept), column_map=tuple(names))
 
 
+_STATS_ARRAYS = ("mu_hat", "mu1_hat", "mu0_hat", "var_total", "var_pooled", "var1", "var0")
+_STATS_VARIANCES = ("var_total", "var_pooled", "var1", "var0")
+
+
 def _stats_to_json(s: VariableStats) -> dict:
-    return {
-        "mu_hat": s.mu_hat.tolist(),
-        "mu1_hat": s.mu1_hat.tolist(),
-        "mu0_hat": s.mu0_hat.tolist(),
-        "var_total": s.var_total.tolist(),
-        "var_pooled": s.var_pooled.tolist(),
-        "var1": s.var1.tolist(),
-        "var0": s.var0.tolist(),
-        "floored": s.floored.tolist(),
-        "n": s.n,
-        "n1": s.n1,
-        "n0": s.n0,
-    }
+    doc = {key: getattr(s, key).tolist() for key in (*_STATS_ARRAYS, "floored")}
+    return {**doc, "n": s.n, "n1": s.n1, "n0": s.n0}
 
 
-def _stats_from_json(obj: dict) -> VariableStats:
-    arr = lambda key: np.array(obj[key], dtype=float)
-    return VariableStats(
-        mu_hat=arr("mu_hat"),
-        mu1_hat=arr("mu1_hat"),
-        mu0_hat=arr("mu0_hat"),
-        var_total=arr("var_total"),
-        var_pooled=arr("var_pooled"),
-        var1=arr("var1"),
-        var0=arr("var0"),
-        floored=np.array(obj["floored"], dtype=bool),
-        n=int(obj["n"]),
-        n1=int(obj["n1"]),
-        n0=int(obj["n0"]),
-    )
+def _stats_from_json(obj: dict, p: int) -> VariableStats:
+    # Checked here, before any FitState is built: a short array would
+    # otherwise escape as a numpy broadcast error and a nonpositive variance
+    # would score rows with no error at all.
+    arrays = {key: np.array(obj[key], dtype=float) for key in _STATS_ARRAYS}
+    floored = np.array(obj["floored"], dtype=bool)
+    for key, a in (*arrays.items(), ("floored", floored)):
+        if a.shape != (p,):
+            raise DataValidationError(f"stats {key} has shape {a.shape}, expected ({p},)")
+    for key, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise DataValidationError(f"stats {key} has non-finite entries")
+    for key in _STATS_VARIANCES:
+        if not (arrays[key] > 0.0).all():
+            raise DataValidationError(f"stats {key} has nonpositive entries")
+    n, n1, n0 = int(obj["n"]), int(obj["n1"]), int(obj["n0"])
+    if n != n1 + n0 or n1 < 2 or n0 < 2:
+        raise DataValidationError(
+            f"stats counts need n = n1 + n0 with n1, n0 >= 2, got n={n}, n1={n1}, n0={n0}"
+        )
+    return VariableStats(**arrays, floored=floored, n=n, n1=n1, n0=n0)
 
 
 def save_state(f: FitState, path) -> None:
@@ -290,7 +289,9 @@ def save_state(f: FitState, path) -> None:
 
 
 def load_state(path) -> FitState:
-    """Inverse of save_state; rejects unknown schema versions and corrupt files."""
+    """Inverse of save_state; rejects unknown schema versions and corrupt files,
+    including statistics of the wrong length, non-finite values, nonpositive
+    variances and inconsistent group counts."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -310,11 +311,11 @@ def load_state(path) -> FitState:
             cycles_run=int(doc["cycles_run"]),
             converged=bool(doc["converged"]),
             final_delta=float(doc["final_delta"]),
-            stats=_stats_from_json(doc["stats"]),
+            stats=_stats_from_json(doc["stats"], len(doc["w"])),
             hyper=Hyperparameters(**doc["hyper"]),
             columns=tuple(doc["columns"]) if doc["columns"] is not None else None,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: corrupt fit-state file ({exc})") from None
 
 
@@ -334,7 +335,8 @@ def align_to_columns(d: Dataset, columns: tuple[str, ...] | None) -> Dataset:
     missing = [name for name in columns if name not in have]
     if missing:
         raise DataValidationError(f"input is missing model column {missing[0]!r}")
-    extra = [name for name in d.columns if name not in set(columns)]
+    known = set(columns)
+    extra = [name for name in d.columns if name not in known]
     if extra:
         raise DataValidationError(f"input has unknown column {extra[0]!r}")
     order = [have[name] for name in columns]

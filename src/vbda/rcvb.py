@@ -118,15 +118,44 @@ class Prediction:
     iterations: int = 1
 
 
-def _log_inclusion_odds(log_bg: float, p: int, a_gamma: float, s_minus: np.ndarray):
-    # log(a_gamma + S_-j) - log(b_gamma + p - S_-j - 1), with the second log
-    # assembled by log-sum-exp because b_gamma itself may overflow.  The
-    # residual count p - S_-j - 1 is clipped at 0: it is nonnegative in exact
-    # arithmetic and can only dip below through rounding of S_-j.
-    rest = np.maximum(p - s_minus - 1.0, 0.0)
+def _log_odds(x: np.ndarray, a: float, log_b: float) -> np.ndarray:
+    # log(a + S_-i) - log(b + m - 1 - S_-i) for S_-i the sum of the other
+    # m - 1 entries of x, with the second log assembled by log-sum-exp
+    # because b itself may overflow (b_gamma).  The residual count
+    # m - S_-i - 1 is clipped at 0: it is nonnegative in exact arithmetic
+    # and can only dip below through rounding of S_-i.
+    s_minus = x.sum() - x
+    rest = np.maximum(x.shape[0] - s_minus - 1.0, 0.0)
     with np.errstate(divide="ignore"):
-        log_denom = np.logaddexp(log_bg, np.log(rest))
-    return np.log(a_gamma + s_minus) - log_denom
+        log_denom = np.logaddexp(log_b, np.log(rest))
+    return np.log(a + s_minus) - log_denom
+
+
+def _batch_fixed_point(
+    x0: np.ndarray, offset: np.ndarray, a: float, log_b: float, h: Hyperparameters
+) -> tuple[np.ndarray, int, float]:
+    """Mean-field fixed point of m exchangeable Beta(a, b)-Bernoulli indicators.
+
+    Every cycle updates all entries from the previous iterate,
+
+        x_i <- expit[ log(a + S_-i) - log(b + m - 1 - S_-i) + offset_i ],
+
+    until the squared step ||x(t) - x(t-1)||^2 is <= h.eps or h.max_cycles
+    cycles have run.  Returns the last iterate, the cycle count and the last
+    squared step.  Selection runs it on w with (a_gamma, b_gamma); coupled
+    prediction on the new labels with (a_y + n1, b_y + n0).
+    """
+    x = x0
+    delta = math.inf
+    cycles = 0
+    for _ in range(h.max_cycles):
+        x_next = expit(_log_odds(x, a, log_b) + offset)
+        delta = float(np.sum((x_next - x) ** 2))
+        x = x_next
+        cycles += 1
+        if delta <= h.eps:
+            break
+    return x, cycles, delta
 
 
 def _eta_offset(model: str, s: VariableStats, h: Hyperparameters) -> np.ndarray:
@@ -148,21 +177,13 @@ def _eta_offset(model: str, s: VariableStats, h: Hyperparameters) -> np.ndarray:
 def _fit(d: Dataset, h: Hyperparameters, model: str) -> FitState:
     d.validate_training()
     stats = compute_stats(d, h.variance_floor)
-    offset = _eta_offset(model, stats, h)
-    log_bg = log_b_gamma(d.n, d.p, h.r, h.kappa)
-    p = d.p
-    w = np.full(p, float(h.w_init))
-    delta = math.inf
-    cycles = 0
-    for _ in range(h.max_cycles):
-        s_minus = w.sum() - w
-        eta = _log_inclusion_odds(log_bg, p, h.a_gamma, s_minus) + offset
-        w_next = expit(eta)
-        delta = float(np.sum((w_next - w) ** 2))
-        w = w_next
-        cycles += 1
-        if delta <= h.eps:
-            break
+    w, cycles, delta = _batch_fixed_point(
+        np.full(d.p, float(h.w_init)),
+        _eta_offset(model, stats, h),
+        h.a_gamma,
+        log_b_gamma(d.n, d.p, h.r, h.kappa),
+        h,
+    )
     return FitState(
         model=model,
         w=w,
@@ -305,36 +326,15 @@ def predict_coupled_vlda(
     h = h or f.hyper
     X = _check_new_matrix(f, x_new)
     s = f.stats
-    m = X.shape[0]
     base = (1.0 + 1.0 / s.n) * _lda_discriminant(s, f.w, X)
-    y = np.full(m, 0.5)
-    converged = False
-    iterations = 0
-    for _ in range(h.max_cycles):
-        s_minus = y.sum() - y
-        score = (
-            np.log(h.a_y + s.n1 + s_minus)
-            - np.log(h.b_y + s.n0 + (m - 1) - s_minus)
-            + base
-        )
-        y_next = expit(score)
-        delta = float(np.sum((y_next - y) ** 2))
-        y = y_next
-        iterations += 1
-        if delta <= h.eps:
-            converged = True
-            break
-    s_minus = y.sum() - y
-    score = (
-        np.log(h.a_y + s.n1 + s_minus)
-        - np.log(h.b_y + s.n0 + (m - 1) - s_minus)
-        + base
-    )
+    a, log_b = h.a_y + s.n1, math.log(h.b_y + s.n0)
+    y, iterations, delta = _batch_fixed_point(np.full(X.shape[0], 0.5), base, a, log_b, h)
+    score = _log_odds(y, a, log_b) + base
     return Prediction(
         y_tilde=y,
         labels=(y > h.c_y).astype(np.int8),
         score=score,
-        converged=converged,
+        converged=delta <= h.eps,
         iterations=iterations,
     )
 

@@ -161,6 +161,18 @@ class TestPredict:
         assert rc == 3
         assert "missing model column" in capsys.readouterr().err
 
+    def test_corrupt_stats_exit_3(self, fitted_dir, tmp_path, capsys):
+        out, data, _ = fitted_dir
+        doc = read_json(out / "fit_state.json")
+        doc["stats"]["var_pooled"] = doc["stats"]["var_pooled"][:-1]
+        bad = tmp_path / "bad_state.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["predict", "--state", str(bad), "--data", str(data),
+                   "--label", "label", "--out-dir", str(tmp_path / "p5")])
+        assert rc == 3
+        assert "var_pooled" in capsys.readouterr().err
+        assert not (tmp_path / "p5" / "metadata.json").exists()
+
     def test_missing_state_exit_3(self, tmp_path, capsys):
         rc = main(["predict", "--state", str(tmp_path / "none.json"),
                    "--data", str(tmp_path / "none.csv"),
@@ -216,6 +228,16 @@ class TestCV:
         assert len(rows) == 2
         assert rows[0]["misclassified"] == 0  # strongly separated
         assert {"rep", "misclassified", "error"} <= set(rows[0])
+
+    def test_reports_identical_across_runs(self, tmp_path):
+        # timing lives in metadata.json only, so the data files repeat
+        data, _ = write_training_csv(tmp_path, n=24, p=3, seed=4)
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["cv", "--data", str(data), "--k", "3", "--reps", "2",
+                         "--seed", "7", "--out-dir", str(out)]) == 0
+        for fname in ("cv_report.tsv", "cv_report.json"):
+            assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
 
     def test_vqda_and_coupled_variants(self, tmp_path):
         data, _ = write_training_csv(tmp_path, n=24, p=3, seed=4)
@@ -307,6 +329,11 @@ class TestUsage:
     def test_unknown_flag_is_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--data", "x.csv", "--frobnicate"])
+        assert exc.value.code == 2
+
+    def test_threads_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", "x.csv", "--threads", "2"])
         assert exc.value.code == 2
 
     def test_version_flag(self, capsys):

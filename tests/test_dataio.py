@@ -315,6 +315,31 @@ class TestStatePersistence:
             load_state(path)
 
 
+    @pytest.mark.parametrize(
+        "key, corrupt, message",
+        [
+            ("var_pooled", lambda v: v[:-1], r"var_pooled has shape \(4,\), expected \(5,\)"),
+            ("var_pooled", lambda v: [-1.0] + v[1:], "var_pooled has nonpositive"),
+            ("var1", lambda v: [0.0] + v[1:], "var1 has nonpositive"),
+            ("var_pooled", lambda v: ["abc"] + v[1:], "could not convert"),
+            ("mu1_hat", lambda v: [float("nan")] + v[1:], "mu1_hat has non-finite"),
+            ("floored", lambda v: v + [False], r"floored has shape \(6,\)"),
+            ("n0", lambda v: 1, "n0 >= 2"),
+            ("n", lambda v: v + 1, r"n = n1 \+ n0"),
+        ],
+        ids=["short_var_pooled", "negative_var_pooled", "zero_var1", "text_var_pooled",
+             "nan_mu1_hat", "long_floored", "n0_below_2", "n_not_n1_plus_n0"],
+    )
+    def test_invalid_stats_rejected(self, fitted, tmp_path, key, corrupt, message):
+        path = tmp_path / "s.json"
+        save_state(fitted, path)
+        doc = json.loads(path.read_text())
+        doc["stats"][key] = corrupt(doc["stats"][key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError, match=message):
+            load_state(path)
+
+
 class TestAlignToColumns:
     def test_reorders_by_name(self):
         d = Dataset(np.array([[1.0, 2.0, 3.0]]), columns=("c", "a", "b"))
