@@ -166,7 +166,7 @@ def _setting_from_args(args) -> SimSetting:
     if args.p is not None:
         overrides["p"] = args.p
     if args.n is not None:
-        overrides["n_train"] = int(args.n)
+        overrides["n_train"] = args.n
     if args.n_valid is not None:
         overrides["n_valid"] = args.n_valid
     if args.n_test is not None:
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="draw one synthetic replicate")
     p_sim.add_argument("--setting", type=int, required=True, help="setting index 1..16")
-    p_sim.add_argument("--n", default=None, help="training rows")
+    p_sim.add_argument("--n", type=int, default=None, help="training rows")
     p_sim.add_argument("--p", type=int, default=None, help="number of variables")
     p_sim.add_argument("--n-valid", type=int, default=None)
     p_sim.add_argument("--n-test", type=int, default=None)

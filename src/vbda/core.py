@@ -79,7 +79,10 @@ class Dataset:
 
     ``y`` is None for prediction-only data.  Labels must be exactly 0 or 1.
     ``columns`` carries variable names for alignment at prediction time;
-    when absent, positional alignment is assumed.
+    when absent, positional alignment is assumed.  ``X`` shares memory with
+    the input when that is already a float64 matrix: it is a read-only view
+    of the caller's array, which stays writable, so later writes to that
+    array show through in the dataset.
     """
 
     X: np.ndarray
@@ -96,6 +99,7 @@ class Dataset:
             raise DataValidationError(
                 f"non-finite value in X at row {bad[0]}, column {bad[1]}"
             )
+        X = X.view()
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         if self.y is not None:
@@ -232,22 +236,17 @@ class VariableStats:
 
 def _stats_from_arrays(X: np.ndarray, y: np.ndarray, variance_floor: float) -> VariableStats:
     # Denominators are deliberately n, n1, n0 -- MLE convention.
-    n = X.shape[0]
-    yf = y.astype(np.float64)
-    n1 = int(round(float(yf.sum())))
-    n0 = n - n1
-    mu1 = (yf @ X) / n1
-    mu0 = ((1.0 - yf) @ X) / n0
+    # The whole-matrix moments come first, so the n-by-p temporary of
+    # X.var is freed before the group rows are copied out.
     mu = X.mean(axis=0)
-    d1 = X - mu1
-    d0 = X - mu0
-    ss1 = yf @ (d1 * d1)
-    ss0 = (1.0 - yf) @ (d0 * d0)
-    var1 = ss1 / n1
-    var0 = ss0 / n0
-    var_pooled = (ss1 + ss0) / n
-    dm = X - mu
-    var_total = (dm * dm).sum(axis=0) / n
+    var_total = X.var(axis=0)
+    X1, X0 = X[y == 1], X[y == 0]
+    n, n1, n0 = X.shape[0], X1.shape[0], X0.shape[0]
+    mu1 = X1.mean(axis=0)
+    mu0 = X0.mean(axis=0)
+    var1 = X1.var(axis=0)
+    var0 = X0.var(axis=0)
+    var_pooled = (n1 * var1 + n0 * var0) / n
     floored = (
         (var1 < variance_floor)
         | (var0 < variance_floor)
@@ -272,11 +271,13 @@ def _stats_from_arrays(X: np.ndarray, y: np.ndarray, variance_floor: float) -> V
 def compute_stats(d: Dataset, variance_floor: float = 1e-12) -> VariableStats:
     """Training-only per-variable MLEs.
 
-    These are the large-n (Taylor) forms used inside the selection updates:
-    group means (1/n_k) sum over group k, pooled alternative variance
-    (SS1 + SS0)/n, null variance (1/n)||x_j - mu_hat||^2, and group
-    variances SS_k/n_k.  The identity
-    n * var_pooled == n1 * var1 + n0 * var0 holds exactly before flooring.
+    These are the large-n (Taylor) forms used inside the selection updates.
+    Each mean and variance is taken directly over its own row set: all rows
+    for the null model (mu_hat, var_total), the group-k rows for mu_k_hat and
+    var_k.  The pooled alternative variance is their count-weighted mean,
+    var_pooled = (n1 * var1 + n0 * var0) / n, so the identity
+    n * var_pooled == n1 * var1 + n0 * var0 holds before flooring.  Raises
+    DataValidationError unless ``d`` is a valid training set.
     """
     d.validate_training()
     return _stats_from_arrays(d.X, d.y, variance_floor)

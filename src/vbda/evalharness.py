@@ -20,13 +20,12 @@ guarantee holds for any cycle count >= 1 and the two can differ in practice.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DataValidationError, Dataset, Hyperparameters
-from .rcvb import FitState, fit_vlda, fit_vqda, predict, select_variables
+from .core import DataValidationError, Dataset, Hyperparameters, compute_stats
+from .rcvb import _fit, fit_vlda, fit_vqda, predict, select_variables
 from .simgen import SimSetting, derive_seed, generate
 
 __all__ = [
@@ -106,8 +105,6 @@ class EvalReport:
     tn: int | None = None
     fp: int | None = None
     fn: int | None = None
-    fit_seconds: float = 0.0
-    predict_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -171,20 +168,13 @@ def kfold_cv(
         rng = np.random.default_rng(derive_seed(seed, rep))
         folds = stratified_folds(d.y, k, rng)
         total_wrong = 0
-        fit_sec = predict_sec = 0.0
         confusion = np.zeros(4, dtype=float)
         for fold in range(k):
             test_idx = np.flatnonzero(folds == fold)
             train_idx = np.flatnonzero(folds != fold)
             train = Dataset(d.X[train_idx], d.y[train_idx], columns=d.columns)
-            train.validate_training()
-            t0 = time.perf_counter()
             f = fitter(train, h)
-            t1 = time.perf_counter()
             pred = predict(f, d.X[test_idx], h, coupled=coupled)
-            t2 = time.perf_counter()
-            fit_sec += t1 - t0
-            predict_sec += t2 - t1
             total_wrong += int(np.sum(pred.labels != d.y[test_idx].astype(bool)))
             if truth is not None:
                 confusion += selection_confusion(select_variables(f, h.c_w), truth)
@@ -205,8 +195,6 @@ def kfold_cv(
                 tn=tn,
                 fp=fp,
                 fn=fn,
-                fit_seconds=fit_sec,
-                predict_seconds=predict_sec,
             )
         )
     return CVReport(model=model, k=k, reps=tuple(reports))
@@ -245,7 +233,10 @@ def consistency_experiment(
     model: str = "vlda",
 ) -> ConsistencyResult:
     """Fit fresh replicates of ``setting`` at each training size in ``ns`` and
-    record the selection-error curves after one cycle and at convergence."""
+    record the selection-error curves after one cycle and at convergence.
+
+    Each replicate's statistics are computed once; the single-cycle fit and
+    the converged fit both start from them."""
     ns = tuple(int(n) for n in ns)
     if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
         raise DataValidationError("ns must be a nonempty strictly increasing sequence")
@@ -255,7 +246,6 @@ def consistency_experiment(
         raise DataValidationError(f"model must be one of {sorted(_FITTERS)}, got {model!r}")
     h = h or Hyperparameters()
     h_tau1 = replace(h, max_cycles=1)
-    fitter = _FITTERS[model]
 
     shape = (len(ns), reps)
     raw = {tag: {f: np.zeros(shape) for f in ("E", "e0", "e1", "fp", "fn")}
@@ -266,9 +256,9 @@ def consistency_experiment(
                         seed=derive_seed(seed, i, rep))
             r = generate(s)
             truth = r.gamma_true
+            stats = compute_stats(r.train, h.variance_floor)
             for tag, hp in (("tau1", h_tau1), ("conv", h)):
-                f = fitter(r.train, hp)
-                w = f.w
+                w = _fit(stats, hp, model).w
                 e0 = float(w[~truth].sum())
                 e1 = float((1.0 - w[truth]).sum())
                 sel = w > h.c_w

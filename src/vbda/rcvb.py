@@ -84,7 +84,7 @@ class FitState:
     def __post_init__(self):
         if self.model not in MODELS:
             raise DataValidationError(f"unknown model {self.model!r}")
-        w = np.asarray(self.w, dtype=np.float64)
+        w = np.asarray(self.w, dtype=np.float64).view()
         if w.ndim != 1 or w.shape[0] != self.stats.p:
             raise DataValidationError(
                 f"w must be a length-{self.stats.p} vector, got shape {w.shape}"
@@ -174,14 +174,17 @@ def _eta_offset(model: str, s: VariableStats, h: Hyperparameters) -> np.ndarray:
     return const + 0.5 * lam
 
 
-def _fit(d: Dataset, h: Hyperparameters, model: str) -> FitState:
-    d.validate_training()
-    stats = compute_stats(d, h.variance_floor)
+def _fit(
+    stats: VariableStats,
+    h: Hyperparameters,
+    model: str,
+    columns: tuple[str, ...] | None = None,
+) -> FitState:
     w, cycles, delta = _batch_fixed_point(
-        np.full(d.p, float(h.w_init)),
+        np.full(stats.p, float(h.w_init)),
         _eta_offset(model, stats, h),
         h.a_gamma,
-        log_b_gamma(d.n, d.p, h.r, h.kappa),
+        log_b_gamma(stats.n, stats.p, h.r, h.kappa),
         h,
     )
     return FitState(
@@ -192,7 +195,7 @@ def _fit(d: Dataset, h: Hyperparameters, model: str) -> FitState:
         final_delta=delta,
         stats=stats,
         hyper=h,
-        columns=d.columns,
+        columns=columns,
     )
 
 
@@ -204,7 +207,8 @@ def fit_vlda(d: Dataset, h: Hyperparameters | None = None) -> FitState:
     non-convergence.  Per-variable statistics never change across cycles, so
     each cycle is O(p).
     """
-    return _fit(d, h or Hyperparameters(), "vlda")
+    h = h or Hyperparameters()
+    return _fit(compute_stats(d, h.variance_floor), h, "vlda", d.columns)
 
 
 def fit_vqda(d: Dataset, h: Hyperparameters | None = None) -> FitState:
@@ -214,7 +218,8 @@ def fit_vqda(d: Dataset, h: Hyperparameters | None = None) -> FitState:
     default a_gamma = 1 reproduces the hard-coded log(1 + S_-j) numerator of
     the reference update; other a_gamma values generalize it.
     """
-    return _fit(d, h or Hyperparameters(), "vqda")
+    h = h or Hyperparameters()
+    return _fit(compute_stats(d, h.variance_floor), h, "vqda", d.columns)
 
 
 def _check_new_matrix(f: FitState, x_new) -> np.ndarray:

@@ -206,6 +206,11 @@ class TestSimulate:
         assert rc == 3
         assert "1..16" in capsys.readouterr().err
 
+    def test_non_integer_n_is_exit_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--setting", "1", "--n", "abc", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_train_csv_loads_back(self, tmp_path):
         out = tmp_path / "sim"
         main(["simulate", "--setting", "1", "--p", "60", "--n", "24",

@@ -66,6 +66,21 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.X[0, 0] = 99.0
 
+    def test_caller_arrays_stay_writable(self):
+        X = X_HAND.copy()
+        d = Dataset(X, Y_HAND)
+        w = np.full(1, 0.5)
+        f = vbda.FitState(model="vlda", w=w, cycles_run=0, converged=True,
+                          final_delta=0.0, stats=compute_stats(d),
+                          hyper=Hyperparameters())
+        X[0, 0] = 99.0
+        w[0] = 0.25
+        assert d.X[0, 0] == 99.0  # a view, not a copy
+        with pytest.raises(ValueError):
+            d.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.w[0] = 1.0
+
     def test_rejects_nonfinite(self):
         X = X_HAND.copy()
         X[2, 0] = np.nan
@@ -152,6 +167,23 @@ class TestComputeStats:
         s = compute_stats_with_new(hand_dataset(), np.array([5.0]), 0)
         assert (s.n, s.n1, s.n0) == (7, 3, 4)
         assert s.mu1_hat[0] == pytest.approx(2.0, rel=1e-15)
+
+    def test_large_offset_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        y = np.array([1] * 17 + [0] * 23)
+        X = 1e6 + rng.standard_normal((40, 5))
+        s = compute_stats(Dataset(X, y))
+        X1, X0 = X[y == 1], X[y == 0]
+        for got, want in [
+            (s.mu_hat, X.mean(axis=0)),
+            (s.mu1_hat, np.mean(X1, axis=0)),
+            (s.mu0_hat, np.mean(X0, axis=0)),
+            (s.var_total, np.var(X, axis=0)),
+            (s.var1, np.var(X1, axis=0)),
+            (s.var0, np.var(X0, axis=0)),
+            (s.var_pooled, (17 * np.var(X1, axis=0) + 23 * np.var(X0, axis=0)) / 40),
+        ]:
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_constant_column_floored(self):
         X = np.column_stack([np.ones(6), X_HAND[:, 0]])

@@ -14,8 +14,10 @@ from vbda import (
     kfold_cv,
     mcc,
     selection_confusion,
+    setting_from_index,
     stratified_folds,
 )
+from vbda import core
 
 from conftest import make_balanced
 
@@ -157,6 +159,7 @@ class TestKFoldCV:
         a = kfold_cv(d, k=3, reps=3, seed=11)
         b = kfold_cv(d, k=3, reps=3, seed=11)
         assert a.misclassified.tolist() == b.misclassified.tolist()
+        assert a == b
 
     def test_rep_count_and_error_ratio(self):
         d = make_balanced(24, 3, seed=2, shift=1.5, k=1)
@@ -189,11 +192,6 @@ class TestKFoldCV:
             kfold_cv(d, k=4, model="lda")
         with pytest.raises(DataValidationError):
             kfold_cv(d, k=4, reps=0)
-
-    def test_timings_recorded(self):
-        d = make_balanced(20, 3, seed=4, shift=1.0, k=1)
-        r = kfold_cv(d, k=2, seed=0).reps[0]
-        assert r.fit_seconds > 0.0 and r.predict_seconds > 0.0
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +250,18 @@ class TestConsistencyExperiment:
         assert small_result.model == "vlda"
         assert small_result.reps == 3
         assert small_result.setting.signal_count == 2
+
+    def test_stats_computed_once_per_replicate(self, monkeypatch):
+        calls = []
+        original = core._stats_from_arrays
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(core, "_stats_from_arrays", counting)
+        consistency_experiment(setting_from_index(1, p=200), (20, 40), 3)
+        assert len(calls) == 6  # 2 training sizes x 3 replicates
 
     def test_hyper_threshold_respected(self):
         s = SimSetting(mean_spec="custom", cov_spec="independence",
