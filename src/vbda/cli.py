@@ -224,7 +224,7 @@ def cmd_cv(args) -> int:
 
 def cmd_consistency(args) -> int:
     try:
-        ns = tuple(int(tok) for tok in str(args.n or "100,400,1600").split(",") if tok)
+        ns = tuple(int(tok) for tok in args.n.split(",") if tok)
     except ValueError:
         raise DataValidationError(f"--n must be a comma-separated integer list, got {args.n!r}")
     s = setting_from_index(args.setting, **({"p": args.p} if args.p is not None else {}))

@@ -1,7 +1,10 @@
 """CSV ingestion, preprocessing transforms, and fit-state persistence.
 
 CSV files carry a mandatory header row and an optional 0/1 label column.
-Parse failures report the offending row and column (header is row 1).
+A cell is accepted exactly when Python ``float()`` parses it (features must
+also be finite).  Each row is converted with one numpy cast; a row that fails
+is rescanned cell by cell, so parse failures report the offending row and
+column (header is row 1).
 
 ``PreprocessPipeline`` chains the transforms used to clean expression-style
 matrices: a log2(1+x) shift, three column filters (small IQR, low variance,
@@ -64,8 +67,14 @@ class StateVersionError(DataValidationError):
 
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Read a header-first CSV into a Dataset, optionally peeling off a 0/1
-    label column by name.  Errors name the offending row and column."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    label column by name.  Errors name the offending row and column.
+
+    A cell is accepted exactly when Python ``float()`` parses it.  Each row is
+    converted with one numpy cast, which calls ``float()`` per cell; a row the
+    cast or the finite/label checks reject is rescanned cell by cell to name
+    its first bad cell.  A UTF-8 byte-order mark before the header is ignored.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -80,44 +89,60 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             )
         label_idx = header.index(label_column) if label_column is not None else None
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
+        rows: list[np.ndarray] = []
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataValidationError(
                     f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
                 )
-            feats = []
-            for col_idx, cell in enumerate(row):
-                where = f"{path}: row {row_no}, column {header[col_idx]!r}"
-                if cell.strip() == "":
-                    raise DataValidationError(f"{where}: missing value")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataValidationError(
-                        f"{where}: could not parse {cell!r} as a number"
-                    ) from None
-                if col_idx == label_idx:
-                    if value not in (0.0, 1.0):
-                        raise DataValidationError(
-                            f"{where}: label must be 0 or 1, got {cell!r}"
-                        )
-                    labels.append(int(value))
-                else:
-                    if not np.isfinite(value):
-                        raise DataValidationError(f"{where}: non-finite value {cell!r}")
-                    feats.append(value)
-            rows.append(feats)
+            try:
+                values = np.array(row, dtype=np.float64)
+            except ValueError:
+                values = None
+            if (
+                values is None
+                or not np.isfinite(values).all()
+                or (label_idx is not None and values[label_idx] not in (0.0, 1.0))
+            ):
+                values = np.array(_scan_row(path, header, row_no, row, label_idx))
+            rows.append(values)
 
     if not rows:
         raise DataValidationError(f"{path}: no data rows below the header")
     columns = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not columns:
         raise DataValidationError(f"{path}: no feature columns besides the label")
-    X = np.array(rows, dtype=float)
-    y = np.array(labels, dtype=int) if label_idx is not None else None
-    return Dataset(X, y, columns=columns)
+    X = np.stack(rows)
+    if label_idx is None:
+        return Dataset(X, columns=columns)
+    y = X[:, label_idx].astype(int)
+    return Dataset(np.delete(X, label_idx, axis=1), y, columns=columns)
+
+
+def _scan_row(path, header, row_no, row, label_idx) -> list[float]:
+    """Parse one CSV row cell by cell with ``float()``, left to right, and
+    raise for the first bad cell (blank, unparsable, non-finite feature, or a
+    label other than 0/1).  Returns the row's values if every cell passes."""
+    values = []
+    for col_idx, cell in enumerate(row):
+        where = f"{path}: row {row_no}, column {header[col_idx]!r}"
+        if cell.strip() == "":
+            raise DataValidationError(f"{where}: missing value")
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataValidationError(
+                f"{where}: could not parse {cell!r} as a number"
+            ) from None
+        if col_idx == label_idx:
+            if value not in (0.0, 1.0):
+                raise DataValidationError(
+                    f"{where}: label must be 0 or 1, got {cell!r}"
+                )
+        elif not np.isfinite(value):
+            raise DataValidationError(f"{where}: non-finite value {cell!r}")
+        values.append(value)
+    return values
 
 
 def save_csv(d: Dataset, path, label_column: str | None = None) -> None:

@@ -286,6 +286,11 @@ class TestConsistency:
         assert rc == 3
         assert "comma-separated" in capsys.readouterr().err
 
+    def test_empty_n_list_exit_3(self, tmp_path, capsys):
+        rc = main(["consistency", "--n", "", "--out-dir", str(tmp_path / "c3")])
+        assert rc == 3
+        assert "nonempty" in capsys.readouterr().err
+
 
 class TestOracle:
     def make_files(self, tmp_path, p):

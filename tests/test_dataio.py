@@ -115,6 +115,52 @@ class TestLoadCsv:
         with pytest.raises(DataValidationError, match="no feature columns"):
             load_csv(path, label_column="label")
 
+    def test_utf8_bom_header(self, tmp_path):
+        text = "label,a,b\n1,0.5,2\n0,-1,3\n"
+        plain = load_csv(write(tmp_path / "plain.csv", text), label_column="label")
+        bom = load_csv(write(tmp_path / "bom.csv", "\ufeff" + text), label_column="label")
+        assert bom.columns == plain.columns == ("a", "b")
+        np.testing.assert_array_equal(bom.y, plain.y)
+        np.testing.assert_array_equal(bom.X, plain.X)
+
+    def test_cells_parse_exactly_as_float(self, tmp_path):
+        cells = [" 2 ", "1_0", "-0", "1e-320", "+1.5e3", "0.1234567890123456789", "3.25"]
+        header = ",".join(f"c{j}" for j in range(len(cells)))
+        row = ",".join(cells[:-1]) + ',"3.25"'
+        d = load_csv(write(tmp_path / "t.csv", f"{header}\n{row}\n"))
+        expected = np.array([[float(c) for c in cells]])
+        np.testing.assert_array_equal(d.X.view(np.int64), expected.view(np.int64))
+
+    def test_first_bad_cell_named(self, tmp_path):
+        path = write(tmp_path / "fb.csv", "a,b\nx,inf\n")
+        with pytest.raises(DataValidationError, match="column 'a': could not parse 'x'"):
+            load_csv(path)
+
+    def test_nan_label(self, tmp_path):
+        path = write(tmp_path / "nl.csv", "label,a\n1,1.0\nnan,2.0\n")
+        with pytest.raises(DataValidationError, match="row 3, column 'label': label must be 0 or 1"):
+            load_csv(path, label_column="label")
+
+    def test_bad_cell_after_many_rows(self, tmp_path):
+        text = "a,b\n" + "1,2\n" * 50 + "3,oops\n"
+        with pytest.raises(DataValidationError, match="row 52, column 'b'"):
+            load_csv(write(tmp_path / "late.csv", text))
+
+    def test_trailing_blank_line_rejected(self, tmp_path):
+        path = write(tmp_path / "tb.csv", "a,b\n1,2\n\n")
+        with pytest.raises(DataValidationError, match="row 3: expected 2 fields, got 0"):
+            load_csv(path)
+
+    def test_crlf_matches_lf(self, tmp_path):
+        text = "label,a,b\n1,0.5,2\n0,-1,3e-5\n"
+        lf = load_csv(write(tmp_path / "lf.csv", text), label_column="label")
+        crlf_path = tmp_path / "crlf.csv"
+        crlf_path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        crlf = load_csv(crlf_path, label_column="label")
+        assert crlf.columns == lf.columns
+        np.testing.assert_array_equal(crlf.y, lf.y)
+        np.testing.assert_array_equal(crlf.X, lf.X)
+
 
 class TestPipelineValidation:
     def test_string_steps_normalized(self):
