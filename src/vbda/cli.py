@@ -7,7 +7,9 @@ diagnostics sidecar (cycle count, final delta, floored variables).  Data
 files are deterministic given the flags and seed; only the metadata record
 carries timing.  stdout is reserved for human-readable progress.
 
-Exit codes: 0 success, 2 usage error, 3 data/domain error, 4 capacity error.
+Exit codes: 0 success, 1 internal error, 2 usage error, 3 data/domain
+error, 4 capacity error.  Past argument parsing, every error is reported
+as one ``error: ...`` line on stderr, with no traceback.
 """
 
 from __future__ import annotations
@@ -382,6 +384,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

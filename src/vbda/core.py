@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 __all__ = [
     "CoreError",
@@ -356,7 +355,8 @@ def xi(x):
     out = np.empty_like(arr)
     if small.any():
         xs = arr[small]
-        out[small] = gammaln(xs) + xs - xs * np.log(xs) - 0.5 * _LOG_2PI
+        lgam = np.array([math.lgamma(v) for v in xs])
+        out[small] = lgam + xs - xs * np.log(xs) - 0.5 * _LOG_2PI
     if (~small).any():
         xl = arr[~small]
         inv = 1.0 / xl
@@ -399,6 +399,24 @@ def lambda_lrt_qda(s: VariableStats, n: int, n1: int, n0: int):
         - float(n1) * np.log(s.var1)
         - float(n0) * np.log(s.var0)
     )
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)), element-wise.
+
+    Saturates to exactly 0.0 and 1.0 at large |x| (below x = -709.78 and
+    above x = 37) without an overflow warning.  A scalar in gives a numpy
+    scalar out; an array in gives a new array, so the caller's array is
+    never written to.
+    """
+    x = np.asarray(x)
+    t = np.negative(x, dtype=np.result_type(x, 1.0))
+    with np.errstate(over="ignore"):
+        if not isinstance(t, np.ndarray):  # 0-d input: ufuncs return a scalar
+            return 1.0 / (1.0 + np.exp(t))
+        np.exp(t, out=t)
+        t += 1.0
+        return np.reciprocal(t, out=t)
 
 
 def log_gaussian_density(x, mu, var):

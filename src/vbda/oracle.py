@@ -6,8 +6,11 @@ with the *exact* with-new-observation statistics, accumulating weights in
 log space; the numeric checks re-derive the likelihood ratio statistics by
 direct optimization of the Gaussian log-likelihoods, with no closed-form
 variance estimates involved.  Both exist to catch sign and scaling mistakes
-in the analytic code paths, and are exposed through the command line for
-desk-scale runs.
+in the analytic code paths.  Only the enumeration is exposed through the
+command line (``vbda oracle``), for desk-scale runs.
+
+scipy is imported only when an oracle function runs, so importing the
+package or its command line does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import betaln, gammaln, logsumexp
 
 from .core import (
     CapacityError,
@@ -93,6 +94,8 @@ _LOG_BETA_ASYMPTOTIC_CUTOFF = 25.0
 
 def _log_beta_shifted(a: float, log_b: float, shift: float) -> float:
     """log B(a, b + shift) where b is supplied as log(b) and may be huge."""
+    from scipy.special import betaln, gammaln
+
     if log_b <= _LOG_BETA_ASYMPTOTIC_CUTOFF:
         return float(betaln(a, math.exp(log_b) + shift))
     log_bsum = np.logaddexp(log_b, math.log(shift)) if shift > 0 else log_b
@@ -137,6 +140,8 @@ def exact_posterior(
 
     accumulated in log space with one final log-sum-exp.  Refuses p > 15.
     """
+    from scipy.special import betaln, logsumexp
+
     h = h or Hyperparameters()
     d.validate_training()
     if d.p > ENUMERATION_MAX_P:
@@ -220,6 +225,8 @@ _NM_OPTIONS = {"xatol": 1e-11, "fatol": 1e-13, "maxiter": 40000, "maxfev": 40000
 
 
 def _maximize(fun, x0) -> tuple[float, np.ndarray]:
+    from scipy.optimize import minimize
+
     # Restarting from the incumbent re-inflates the simplex and recovers the
     # last digits; the statistic amplifies log-variance error by (n+1).
     res = minimize(fun, np.asarray(x0, dtype=np.float64), method="Nelder-Mead",

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     DataValidationError,
@@ -292,8 +291,8 @@ def predict_vqda(
     h = h or f.hyper
     X = _check_new_matrix(f, x_new)
     s = f.stats
-    g1 = float(gammaln((s.n1 + 1) / 2.0) - gammaln(s.n1 / 2.0))
-    g0 = float(gammaln((s.n0 + 1) / 2.0) - gammaln(s.n0 / 2.0))
+    g1 = math.lgamma((s.n1 + 1) / 2.0) - math.lgamma(s.n1 / 2.0)
+    g0 = math.lgamma((s.n0 + 1) / 2.0) - math.lgamma(s.n0 / 2.0)
     loglik_diff = log_gaussian_density(X, s.mu1_hat, s.var1) - log_gaussian_density(
         X, s.mu0_hat, s.var0
     )

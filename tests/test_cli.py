@@ -1,11 +1,16 @@
 """End-to-end command-line runs, in process, against temp directories."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vbda
 from vbda import Dataset, load_state, save_csv
+from vbda import cli
 from vbda.cli import main
 
 from conftest import make_balanced
@@ -102,6 +107,20 @@ class TestFit:
                    "--out-dir", str(tmp_path)])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
+        def boom(args):
+            cli._out_dir(args)
+            raise RuntimeError("kaput")
+
+        monkeypatch.setattr(cli, "cmd_fit", boom)
+        path, _ = write_training_csv(tmp_path)
+        out = tmp_path / "fit"
+        rc = main(["fit", "--data", str(path), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: internal error: RuntimeError: kaput\n"
+        assert out.is_dir() and not (out / "metadata.json").exists()
 
     def test_malformed_csv_is_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -351,3 +370,17 @@ class TestUsage:
             main(["--version"])
         assert exc.value.code == 0
         assert "vbda" in capsys.readouterr().out
+
+
+class TestImportPath:
+    def test_package_and_cli_load_no_scipy(self):
+        src = str(Path(vbda.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import vbda, vbda.cli; "
+            "print(','.join(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == ""

@@ -8,11 +8,13 @@ pooled 67/28, group-1 variance 35/16.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit as scipy_expit
 from scipy.special import gammaln
 from scipy.stats import norm
 
@@ -390,3 +392,38 @@ class TestDensityHelpers:
 
     def test_expit_fixed_point(self):
         assert expit(math.log(91.0 / 11.0)) == pytest.approx(91.0 / 102.0, rel=1e-15)
+
+
+class TestExpit:
+    """The numpy logistic against scipy's, which it replaced."""
+
+    def test_matches_scipy_on_seeded_grid(self):
+        rng = np.random.default_rng(11)
+        edges = [0.0, -0.0, 700.0, -700.0, 745.0, -745.0, 1e308, -1e308,
+                 np.inf, -np.inf]
+        x = np.concatenate([
+            edges,
+            rng.normal(0.0, 5.0, 5000),
+            rng.uniform(-800.0, 800.0, 5000),
+        ])
+        np.testing.assert_allclose(expit(x), scipy_expit(x), rtol=1e-15, atol=0)
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expit(-1000.0) == 0.0
+            assert expit(1000.0) == 1.0
+            out = expit(np.array([-1000.0, 0.0, 1000.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
+
+    def test_input_array_unchanged(self):
+        x = np.linspace(-50.0, 50.0, 101)
+        before = x.copy()
+        out = expit(x)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
+    def test_scalar_in_scalar_out(self):
+        out = expit(0.25)
+        assert np.ndim(out) == 0 and not isinstance(out, np.ndarray)
+        assert out == scipy_expit(0.25)
