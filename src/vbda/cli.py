@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: fit, predict, simulate, cv, consistency, oracle.  Every
-successful run writes its data files plus a metadata.json (full config,
-seed, package version, wall-clock timing) into --out-dir; fit also writes a
-diagnostics sidecar (cycle count, final delta, floored variables).  Data
-files are deterministic given the flags and seed; only the metadata record
-carries timing.  stdout is reserved for human-readable progress.
+Every successful run writes its data files plus a metadata.json (full
+config, seed, package version, wall-clock timing) into --out-dir.  The data
+files are fit: fit_state.json, selection.tsv and fit_diagnostics.json (cycle
+count, final delta, floored variables); predict: predictions.tsv; simulate:
+train.csv, valid.csv and test.csv (each when nonempty) and truth.json; cv:
+cv_report.tsv; consistency: consistency.tsv and consistency.json (medians);
+oracle: oracle.tsv and oracle.json.  Data files are deterministic given the
+flags and seed; only the metadata record carries timing.  stdout is
+reserved for human-readable progress.
 
 Exit codes: 0 success, 1 internal error, 2 usage error, 3 data/domain
 error, 4 capacity error.  Past argument parsing, every error is reported
@@ -15,7 +18,6 @@ as one ``error: ...`` line on stderr, with no traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -26,9 +28,9 @@ import numpy as np
 from .core import (
     CapacityError,
     DataValidationError,
-    Dataset,
     DomainError,
     Hyperparameters,
+    _column_names,
 )
 from .dataio import (
     align_to_columns,
@@ -43,7 +45,7 @@ from .dataio import (
 )
 from .evalharness import consistency_experiment, kfold_cv
 from .oracle import exact_posterior
-from .rcvb import fit_vlda, fit_vqda, predict
+from .rcvb import _FITTERS, predict
 from .simgen import SimSetting, generate, setting_from_index
 
 __all__ = ["main", "build_parser"]
@@ -111,21 +113,15 @@ def _write_metadata(args, seconds: float) -> None:
     write_json(doc, os.path.join(args.out_dir, "metadata.json"))
 
 
-def _load_training(args) -> Dataset:
-    return load_csv(args.data, label_column=args.label)
-
-
 def cmd_fit(args) -> int:
-    d = _load_training(args)
+    d = load_csv(args.data, label_column=args.label)
     h = _hyper_from_args(args)
-    fitter = fit_vlda if args.model == "vlda" else fit_vqda
-    f = fitter(d, h)
+    f = _FITTERS[args.model](d, h)
     out = _out_dir(args)
     save_state(f, os.path.join(out, "fit_state.json"))
     rows = selection_rows(f)
     write_tsv(rows, os.path.join(out, "selection.tsv"), ("variable_id", "w", "selected"))
-    write_json(rows, os.path.join(out, "selection.json"))
-    names = f.columns or tuple(f"v{j + 1}" for j in range(f.p))
+    names = _column_names(f.columns, f.p)
     diagnostics = {
         "cycles_run": f.cycles_run,
         "converged": f.converged,
@@ -156,7 +152,6 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     rows = prediction_rows(pred)
     write_tsv(rows, os.path.join(out, "predictions.tsv"), ("row_id", "y_tilde", "label"))
-    write_json(rows, os.path.join(out, "predictions.json"))
     if not pred.converged:
         print("warning: coupled label updates did not converge", file=sys.stderr)
     print(f"predicted {len(rows)} rows with {f.model} -> {out}")
@@ -202,7 +197,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    d = _load_training(args)
+    d = load_csv(args.data, label_column=args.label)
     h = _hyper_from_args(args)
     report = kfold_cv(
         d, args.k, reps=args.reps, model=args.model, h=h, seed=args.seed,
@@ -218,7 +213,6 @@ def cmd_cv(args) -> int:
         for i, r in enumerate(report.reps)
     ]
     write_tsv(rows, os.path.join(out, "cv_report.tsv"), ("rep", "misclassified", "error"))
-    write_json(rows, os.path.join(out, "cv_report.json"))
     med = float(np.median(report.errors))
     print(f"cv {args.model}: k={args.k}, reps={args.reps}, median error {med:.4f} -> {out}")
     return 0
@@ -266,7 +260,7 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    d = _load_training(args)
+    d = load_csv(args.data, label_column=args.label)
     new = load_csv(args.new)
     if new.X.shape[0] != 1:
         raise DataValidationError(
@@ -276,7 +270,7 @@ def cmd_oracle(args) -> int:
     h = _hyper_from_args(args)
     ep = exact_posterior(d, aligned.X[0], h, model=args.model)
     out = _out_dir(args)
-    names = d.columns or tuple(f"v{j + 1}" for j in range(d.p))
+    names = _column_names(d.columns, d.p)
     rows = [
         {"variable_id": names[j], "marginal": float(ep.gamma_marginals[j])}
         for j in range(d.p)
@@ -308,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--out-dir", default=".", help="directory for outputs")
         if model:
-            p.add_argument("--model", choices=("vlda", "vqda"), default="vlda")
+            p.add_argument("--model", choices=tuple(_FITTERS), default="vlda")
         _add_hyper_flags(p)
 
     p_fit = sub.add_parser("fit", help="fit selection probabilities on a labeled CSV")

@@ -72,6 +72,12 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
+def _column_names(columns: tuple[str, ...] | None, p: int) -> tuple[str, ...]:
+    """``columns``, or the default names v1..vp for unnamed data.  save_csv
+    writes these names, so align_to_columns later matches against them."""
+    return columns or tuple(f"v{j + 1}" for j in range(p))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n-by-p data matrix with optional binary group labels.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .core import (
     DomainError,
     Hyperparameters,
     VariableStats,
+    _column_names,
 )
 from .rcvb import FitState, Prediction, select_variables
 
@@ -65,6 +67,17 @@ class StateVersionError(DataValidationError):
     """Persisted fit state was written under an incompatible schema version."""
 
 
+@contextmanager
+def _read_utf8(path, encoding="utf-8", newline=None):
+    """Open ``path`` as text; a byte that is not UTF-8 raises DataValidationError."""
+    with open(path, encoding=encoding, newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise DataValidationError(f"{path}: not UTF-8 text (byte {byte:#04x})") from None
+
+
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Read a header-first CSV into a Dataset, optionally peeling off a 0/1
     label column by name.  Errors name the offending row and column.
@@ -72,9 +85,10 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     A cell is accepted exactly when Python ``float()`` parses it.  Each row is
     converted with one numpy cast, which calls ``float()`` per cell; a row the
     cast or the finite/label checks reject is rescanned cell by cell to name
-    its first bad cell.  A UTF-8 byte-order mark before the header is ignored.
+    its first bad cell.  The file must be UTF-8 text; a UTF-8 byte-order mark
+    before the header is ignored.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _read_utf8(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -147,7 +161,7 @@ def _scan_row(path, header, row_no, row, label_idx) -> list[float]:
 
 def save_csv(d: Dataset, path, label_column: str | None = None) -> None:
     """Write a Dataset back to CSV (floats at full repr precision)."""
-    columns = d.columns or tuple(f"v{j + 1}" for j in range(d.p))
+    columns = _column_names(d.columns, d.p)
     label_name = label_column or d.label_name
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -213,7 +227,7 @@ def apply_pipeline(pl: PreprocessPipeline, d: Dataset) -> PipelineResult:
     column, if log2p1 meets a value <= -1, or if standardize meets a constant
     column."""
     X = np.array(d.X, dtype=float)
-    names = list(d.columns or (f"v{j + 1}" for j in range(d.p)))
+    names = list(_column_names(d.columns, d.p))
     kept = list(range(d.p))
 
     def drop(keep_mask, step_name):
@@ -308,16 +322,14 @@ def save_state(f: FitState, path) -> None:
         "hyper": {k: getattr(f.hyper, k) for k in f.hyper.__dataclass_fields__},
         "stats": _stats_to_json(f.stats),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_state(path) -> FitState:
     """Inverse of save_state; rejects unknown schema versions and corrupt files,
     including statistics of the wrong length, non-finite values, nonpositive
     variances and inconsistent group counts."""
-    with open(path, encoding="utf-8") as fh:
+    with _read_utf8(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -372,7 +384,7 @@ def selection_rows(f: FitState, c_w: float | None = None) -> list[dict]:
     """One record per variable: (variable_id, w, selected)."""
     selected = np.zeros(f.p, dtype=bool)
     selected[select_variables(f, c_w)] = True
-    names = f.columns or tuple(f"v{j + 1}" for j in range(f.p))
+    names = _column_names(f.columns, f.p)
     return [
         {"variable_id": names[j], "w": float(f.w[j]), "selected": int(selected[j])}
         for j in range(f.p)
@@ -403,7 +415,7 @@ def write_tsv(rows: list[dict], path, header: tuple[str, ...]) -> None:
 
 
 def write_json(obj, path) -> None:
-    """Deterministic JSON mirror (sorted keys, indented, trailing newline)."""
+    """Deterministic JSON document (sorted keys, indented, trailing newline)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

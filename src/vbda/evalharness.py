@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DataValidationError, Dataset, Hyperparameters, compute_stats
-from .rcvb import _fit, fit_vlda, fit_vqda, predict, select_variables
+from .rcvb import _FITTERS, _fit, predict, select_variables
 from .simgen import SimSetting, derive_seed, generate
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
     "kfold_cv",
     "consistency_experiment",
 ]
-
-_FITTERS = {"vlda": fit_vlda, "vqda": fit_vqda}
-
 
 def classification_error(pred_labels, true_labels) -> float:
     """Fraction of mismatched labels."""
@@ -83,28 +80,32 @@ def selection_confusion(selected, true_mask):
     return tp, tn, fp, fn
 
 
-def mcc(selected, true_mask) -> float:
-    """Matthews correlation of a selected variable set; 0 if any marginal is empty."""
-    tp, tn, fp, fn = selection_confusion(selected, true_mask)
+def _mcc_from_counts(tp, tn, fp, fn) -> float:
     denom2 = float(tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if denom2 == 0.0:
         return 0.0
     return (tp * tn - fp * fn) / np.sqrt(denom2)
 
 
+def mcc(selected, true_mask) -> float:
+    """Matthews correlation of a selected variable set; 0 if any marginal is empty."""
+    return _mcc_from_counts(*selection_confusion(selected, true_mask))
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Per-repetition record: classification counts plus optional selection
-    quality (selection fields stay None when the ground truth is unknown)."""
+    quality (selection fields stay None when the ground truth is unknown).
+    In cross-validation, tp/tn/fp/fn are means over the k folds."""
 
     m: int
     misclassified: int
     error: float
     mcc: float | None = None
-    tp: int | None = None
-    tn: int | None = None
-    fp: int | None = None
-    fn: int | None = None
+    tp: float | None = None
+    tn: float | None = None
+    fp: float | None = None
+    fn: float | None = None
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,7 @@ def kfold_cv(
             rep_mcc = tp = tn = fp = fn = None
         else:
             tp, tn, fp, fn = (confusion / k).tolist()
-            denom2 = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-            rep_mcc = 0.0 if denom2 == 0 else (tp * tn - fp * fn) / np.sqrt(denom2)
+            rep_mcc = _mcc_from_counts(tp, tn, fp, fn)
         reports.append(
             EvalReport(
                 m=d.n,

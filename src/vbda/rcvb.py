@@ -57,9 +57,6 @@ __all__ = [
     "select_variables",
 ]
 
-MODELS = ("vlda", "vqda")
-
-
 @dataclass(frozen=True)
 class FitState:
     """Converged (or cycle-limited) selection probabilities plus snapshots.
@@ -81,7 +78,7 @@ class FitState:
     columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
+        if self.model not in _FITTERS:
             raise DataValidationError(f"unknown model {self.model!r}")
         w = np.asarray(self.w, dtype=np.float64).view()
         if w.ndim != 1 or w.shape[0] != self.stats.p:
@@ -219,6 +216,10 @@ def fit_vqda(d: Dataset, h: Hyperparameters | None = None) -> FitState:
     """
     h = h or Hyperparameters()
     return _fit(compute_stats(d, h.variance_floor), h, "vqda", d.columns)
+
+
+# The one table of models: FitState, evalharness and the CLI all read it.
+_FITTERS = {"vlda": fit_vlda, "vqda": fit_vqda}
 
 
 def _check_new_matrix(f: FitState, x_new) -> np.ndarray:

@@ -17,11 +17,11 @@ regime where the quadratic model should win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataValidationError, Dataset
+from .core import DataValidationError, Dataset, _column_names
 
 __all__ = [
     "MEAN_SPECS",
@@ -62,6 +62,8 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     Indices are shifted by one inside the entropy list: SeedSequence ignores
     trailing zero entropy words, which would otherwise alias (i,) with (i, 0).
     """
+    if int(base_seed) < 0:
+        raise DataValidationError(f"seed must be nonnegative, got {base_seed}")
     for i in indices:
         if int(i) < 0:
             raise DataValidationError(f"seed indices must be nonnegative, got {i}")
@@ -109,6 +111,8 @@ class SimSetting:
             raise DataValidationError("split sizes must be nonnegative")
         if self.delta_sigma < 0:
             raise DataValidationError("delta_sigma must be nonnegative")
+        if self.seed < 0:
+            raise DataValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.signal_count is not None and not 0 <= self.signal_count <= self.p:
             raise DataValidationError("signal_count must lie in [0, p]")
         if self.p1 > self.p:
@@ -244,7 +248,7 @@ def generate(s: SimSetting) -> SimReplicate:
         X[np.ix_(is0, signal)] *= sigma0[signal]
     X[np.ix_(~is0, signal)] += mu1[signal]
 
-    columns = tuple(f"v{j + 1}" for j in range(s.p))
+    columns = _column_names(None, s.p)
 
     def cut(lo, hi):
         if hi == lo:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process, against temp directories."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -27,20 +28,24 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def read_tsv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh, delimiter="\t"))
+
+
+def out_files(out):
+    return {p.name for p in out.iterdir()}
+
+
 class TestFit:
     def test_writes_all_outputs(self, tmp_path, capsys):
         data, _ = write_training_csv(tmp_path)
         out = tmp_path / "fit"
         rc = main(["fit", "--data", str(data), "--out-dir", str(out)])
         assert rc == 0
-        for fname in (
-            "fit_state.json",
-            "selection.tsv",
-            "selection.json",
-            "fit_diagnostics.json",
-            "metadata.json",
-        ):
-            assert (out / fname).exists(), fname
+        assert out_files(out) == {
+            "fit_state.json", "selection.tsv", "fit_diagnostics.json", "metadata.json",
+        }
         diag = read_json(out / "fit_diagnostics.json")
         assert diag["converged"] is True
         assert diag["selected_count"] >= 1
@@ -129,6 +134,15 @@ class TestFit:
         assert rc == 3
         assert "as a number" in capsys.readouterr().err
 
+    def test_non_utf8_data_is_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("label,café\n1,2\n0,3\n".encode("latin-1"))
+        out = tmp_path / "fit"
+        rc = main(["fit", "--data", str(bad), "--out-dir", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte 0xe9)\n"
+        assert not out.exists()
+
 
 class TestPredict:
     @pytest.fixture()
@@ -147,11 +161,12 @@ class TestPredict:
              "--data", str(data), "--label", "label", "--out-dir", str(pred_dir)]
         )
         assert rc == 0
-        rows = read_json(pred_dir / "predictions.json")
+        assert out_files(pred_dir) == {"predictions.tsv", "metadata.json"}
+        rows = read_tsv(pred_dir / "predictions.tsv")
         assert len(rows) == d.n
-        labels = np.array([r["label"] for r in rows])
+        labels = np.array([int(r["label"]) for r in rows])
         np.testing.assert_array_equal(labels, np.asarray(d.y))  # separated data
-        assert all(0.0 <= r["y_tilde"] <= 1.0 for r in rows)
+        assert all(0.0 <= float(r["y_tilde"]) <= 1.0 for r in rows)
 
     def test_unlabeled_input(self, fitted_dir, tmp_path):
         out, _, d = fitted_dir
@@ -248,10 +263,11 @@ class TestCV:
         rc = main(["cv", "--data", str(data), "--k", "4", "--reps", "2",
                    "--out-dir", str(out), "--seed", "5"])
         assert rc == 0
-        rows = read_json(out / "cv_report.json")
+        assert out_files(out) == {"cv_report.tsv", "metadata.json"}
+        rows = read_tsv(out / "cv_report.tsv")
         assert len(rows) == 2
-        assert rows[0]["misclassified"] == 0  # strongly separated
-        assert {"rep", "misclassified", "error"} <= set(rows[0])
+        assert rows[0]["misclassified"] == "0"  # strongly separated
+        assert list(rows[0]) == ["rep", "misclassified", "error"]
 
     def test_reports_identical_across_runs(self, tmp_path):
         # timing lives in metadata.json only, so the data files repeat
@@ -260,8 +276,7 @@ class TestCV:
         for out in (a, b):
             assert main(["cv", "--data", str(data), "--k", "3", "--reps", "2",
                          "--seed", "7", "--out-dir", str(out)]) == 0
-        for fname in ("cv_report.tsv", "cv_report.json"):
-            assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
+        assert (a / "cv_report.tsv").read_bytes() == (b / "cv_report.tsv").read_bytes()
 
     def test_vqda_and_coupled_variants(self, tmp_path):
         data, _ = write_training_csv(tmp_path, n=24, p=3, seed=4)
@@ -347,6 +362,24 @@ class TestOracle:
                    "--out-dir", str(tmp_path / "or3")])
         assert rc == 3
         assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--setting", "1", "--p", "60", "--n", "20"],
+        ["cv", "--k", "3"],
+        ["consistency", "--setting", "1", "--p", "60", "--n", "20", "--reps", "1"],
+    ],
+    ids=["simulate", "cv", "consistency"],
+)
+def test_negative_seed_is_exit_3(tmp_path, capsys, argv):
+    if argv[0] == "cv":
+        data, _ = write_training_csv(tmp_path, n=24, p=3)
+        argv = argv + ["--data", str(data)]
+    rc = main(argv + ["--seed", "-1", "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
 class TestUsage:

@@ -123,6 +123,12 @@ class TestLoadCsv:
         np.testing.assert_array_equal(bom.y, plain.y)
         np.testing.assert_array_equal(bom.X, plain.X)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("label,café\n1,2\n0,3\n".encode("latin-1"))
+        with pytest.raises(DataValidationError, match=r"latin1.csv: not UTF-8 text \(byte 0xe9"):
+            load_csv(path, label_column="label")
+
     def test_cells_parse_exactly_as_float(self, tmp_path):
         cells = [" 2 ", "1_0", "-0", "1e-320", "+1.5e3", "0.1234567890123456789", "3.25"]
         header = ",".join(f"c{j}" for j in range(len(cells)))
@@ -343,6 +349,13 @@ class TestStatePersistence:
         save_state(fitted, path)
         path.write_text(path.read_text()[:40])
         with pytest.raises(DataValidationError, match="corrupt"):
+            load_state(path)
+
+    def test_non_utf8_file_rejected(self, fitted, tmp_path):
+        path = tmp_path / "s.json"
+        save_state(fitted, path)
+        path.write_bytes(path.read_bytes().replace(b'"a"', '"é"'.encode("latin-1"), 1))
+        with pytest.raises(DataValidationError, match=r"s.json: not UTF-8 text \(byte 0xe9"):
             load_state(path)
 
     def test_wrong_document_shape(self, tmp_path):

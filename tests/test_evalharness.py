@@ -194,6 +194,14 @@ class TestKFoldCV:
             kfold_cv(d, k=4, reps=0)
 
 
+def test_negative_seed_rejected():
+    d = make_balanced(20, 3, seed=0)
+    with pytest.raises(DataValidationError, match="seed must be nonnegative, got -1"):
+        kfold_cv(d, k=4, seed=-1)
+    with pytest.raises(DataValidationError, match="seed must be nonnegative, got -1"):
+        consistency_experiment(setting_from_index(1, p=60), (20,), 1, seed=-1)
+
+
 @pytest.fixture(scope="module")
 def small_result():
     s = SimSetting(

@@ -68,6 +68,7 @@ class TestSimSetting:
             dict(rho=1.0),
             dict(cov_spec="uniform", rho=-0.1),
             dict(cov_spec="block_ar1", p=150),  # blocks of 100 must tile p
+            dict(seed=-1),
         ],
     )
     def test_invalid_settings_rejected(self, kw):
@@ -262,3 +263,9 @@ class TestDeriveSeed:
 
     def test_arity_matters(self):
         assert derive_seed(5) != derive_seed(5, 0)
+
+    def test_negative_base_or_index_rejected(self):
+        with pytest.raises(DataValidationError, match="seed must be nonnegative, got -1"):
+            derive_seed(-1, 0)
+        with pytest.raises(DataValidationError, match="indices must be nonnegative"):
+            derive_seed(0, -1)
