@@ -154,12 +154,18 @@ class Dataset:
         observations per group and four overall.
         """
         self._require_labels()
-        if self.n < 4:
-            raise DataValidationError(f"training needs n >= 4, got n={self.n}")
-        if self.n1 < 2 or self.n0 < 2:
-            raise DataValidationError(
-                f"each group needs >= 2 observations, got n1={self.n1}, n0={self.n0}"
-            )
+        _check_counts(self.n, self.n1, self.n0)
+
+
+def _check_counts(n: int, n1: int, n0: int) -> None:
+    """Raise unless a training set of n rows, n1 in group 1 and n0 in group 0,
+    can give every group its own variance estimate."""
+    if n < 4:
+        raise DataValidationError(f"training needs n >= 4, got n={n}")
+    if n1 < 2 or n0 < 2:
+        raise DataValidationError(
+            f"each group needs >= 2 observations, got n1={n1}, n0={n0}"
+        )
 
 
 @dataclass(frozen=True)
@@ -239,18 +245,10 @@ class VariableStats:
         return self.mu_hat.shape[0]
 
 
-def _stats_from_arrays(X: np.ndarray, y: np.ndarray, variance_floor: float) -> VariableStats:
-    # Denominators are deliberately n, n1, n0 -- MLE convention.
-    # The whole-matrix moments come first, so the n-by-p temporary of
-    # X.var is freed before the group rows are copied out.
-    mu = X.mean(axis=0)
-    var_total = X.var(axis=0)
-    X1, X0 = X[y == 1], X[y == 0]
-    n, n1, n0 = X.shape[0], X1.shape[0], X0.shape[0]
-    mu1 = X1.mean(axis=0)
-    mu0 = X0.mean(axis=0)
-    var1 = X1.var(axis=0)
-    var0 = X0.var(axis=0)
+def _make_stats(mu, mu1, mu0, var_total, var1, var0, n, n1, n0, variance_floor) -> VariableStats:
+    """VariableStats from unfloored moments: pools the group variances as
+    var_pooled = (n1 * var1 + n0 * var0) / n, raises every variance below
+    the floor up to it and flags the variables where that happened."""
     var_pooled = (n1 * var1 + n0 * var0) / n
     floored = (
         (var1 < variance_floor)
@@ -270,6 +268,19 @@ def _stats_from_arrays(X: np.ndarray, y: np.ndarray, variance_floor: float) -> V
         n=n,
         n1=n1,
         n0=n0,
+    )
+
+
+def _stats_from_arrays(X: np.ndarray, y: np.ndarray, variance_floor: float) -> VariableStats:
+    # Denominators are deliberately n, n1, n0 -- MLE convention.
+    # The whole-matrix moments come first, so the n-by-p temporary of
+    # X.var is freed before the group rows are copied out.
+    mu = X.mean(axis=0)
+    var_total = X.var(axis=0)
+    X1, X0 = X[y == 1], X[y == 0]
+    return _make_stats(
+        mu, X1.mean(axis=0), X0.mean(axis=0), var_total, X1.var(axis=0), X0.var(axis=0),
+        X.shape[0], X1.shape[0], X0.shape[0], variance_floor,
     )
 
 

@@ -1,23 +1,35 @@
 """Metric definitions, stratified CV mechanics, consistency curves."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vbda import (
+    CVReport,
     DataValidationError,
+    Dataset,
+    EvalReport,
     Hyperparameters,
     SimSetting,
     classification_error,
+    compute_stats,
     consistency_experiment,
+    fit_vlda,
+    fit_vqda,
     kfold_cv,
     mcc,
+    predict,
+    select_variables,
     selection_confusion,
     setting_from_index,
     stratified_folds,
 )
 from vbda import core
+from vbda.evalharness import _fold_stats, _mcc_from_counts
+from vbda.simgen import derive_seed
 
 from conftest import make_balanced
 
@@ -131,6 +143,29 @@ class TestStratifiedFolds:
         b = stratified_folds(y, 4, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
+    def test_fold_vector_pinned(self):
+        # Literal output of the per-observation round-robin loop this
+        # function replaced: the vectorised form draws the same permutations.
+        y = np.array([0] * 7 + [1] * 6 + [0] * 4 + [1] * 3)
+        folds = stratified_folds(y, 4, np.random.default_rng(2024))
+        assert folds.tolist() == [2, 3, 3, 0, 0, 0, 1, 2, 0, 2,
+                                  3, 0, 1, 1, 2, 2, 1, 1, 3, 3]
+
+    @pytest.mark.invariant
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 9), st.integers(2, 12), st.integers(2, 12))
+    def test_matches_per_observation_loop(self, seed, k, n0, n1):
+        y = np.random.default_rng(seed).permutation(np.repeat([0, 1], [n0, n1]))
+        k = min(k, y.size)
+        rng = np.random.default_rng(seed)
+        expected = np.empty(y.size, dtype=int)
+        counter = 0
+        for group in (0, 1):
+            for i in rng.permutation(np.flatnonzero(y == group)):
+                expected[i] = counter % k
+                counter += 1
+        got = stratified_folds(y, k, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, expected)
+
     @pytest.mark.parametrize("k", [0, 1, 21])
     def test_k_bounds(self, k):
         with pytest.raises(DataValidationError):
@@ -192,6 +227,119 @@ class TestKFoldCV:
             kfold_cv(d, k=4, model="lda")
         with pytest.raises(DataValidationError):
             kfold_cv(d, k=4, reps=0)
+
+
+def _per_fold_refit_cv(d, k, reps=1, model="vlda", seed=0, gamma_true=None,
+                       coupled=False):
+    """Reference CV: a fresh Dataset and a full fit for every training fold."""
+    h = Hyperparameters()
+    fitter = {"vlda": fit_vlda, "vqda": fit_vqda}[model]
+    truth = None if gamma_true is None else np.asarray(gamma_true, dtype=bool)
+    reports = []
+    for rep in range(reps):
+        folds = stratified_folds(d.y, k, np.random.default_rng(derive_seed(seed, rep)))
+        wrong = 0
+        confusion = np.zeros(4)
+        for fold in range(k):
+            test, train = folds == fold, folds != fold
+            f = fitter(Dataset(d.X[train], d.y[train], columns=d.columns), h)
+            pred = predict(f, d.X[test], h, coupled=coupled)
+            wrong += int(np.sum(pred.labels != d.y[test].astype(bool)))
+            if truth is not None:
+                confusion += selection_confusion(select_variables(f, h.c_w), truth)
+        sel = dict.fromkeys(("mcc", "tp", "tn", "fp", "fn"))
+        if truth is not None:
+            counts = (confusion / k).tolist()
+            sel = dict(zip(("tp", "tn", "fp", "fn"), counts), mcc=_mcc_from_counts(*counts))
+        reports.append(EvalReport(m=d.n, misclassified=wrong, error=wrong / d.n, **sel))
+    return CVReport(model=model, k=k, reps=tuple(reports))
+
+
+def _cv_data(degenerate: bool) -> Dataset:
+    """24 x 12, weak signal in columns 0-2; optionally column 5 constant and
+    column 6 constant within group 1, so some variances hit the floor."""
+    d = make_balanced(24, 12, seed=4, shift=1.0, k=3)
+    if not degenerate:
+        return d
+    X = d.X.copy()
+    X[:, 5] = 2.5
+    X[d.y == 1, 6] = 0.7
+    return Dataset(X, d.y)
+
+
+class TestFoldMoments:
+    """kfold_cv takes every fold's statistics from one pass of cell moments;
+    it must score exactly like refitting each training fold from scratch."""
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("k, reps", [(4, 3), (24, 1)])
+    @pytest.mark.parametrize("with_truth", [False, True])
+    @pytest.mark.parametrize("model, coupled",
+                             [("vlda", False), ("vqda", False), ("vlda", True)])
+    def test_matches_per_fold_refit(self, model, coupled, with_truth, k, reps, degenerate):
+        d = _cv_data(degenerate)
+        truth = np.arange(12) < 3 if with_truth else None
+        args = dict(k=k, reps=reps, model=model, seed=7, gamma_true=truth, coupled=coupled)
+        assert kfold_cv(d, **args) == _per_fold_refit_cv(d, **args)
+
+    @pytest.mark.parametrize("k", [4, 24])
+    def test_floored_flags_match_direct_stats(self, k):
+        d = _cv_data(degenerate=True)
+        folds = stratified_folds(d.y, k, np.random.default_rng(3))
+        for fold, s in enumerate(_fold_stats(d.X, d.y, folds, k, 1e-12)):
+            train = folds != fold
+            ref = compute_stats(Dataset(d.X[train], d.y[train]))
+            np.testing.assert_array_equal(s.floored, ref.floored)
+            assert s.floored[5] and s.floored[6] and not s.floored[0]
+
+    def test_no_per_fold_dataset_or_direct_stats(self, monkeypatch):
+        d = _cv_data(degenerate=False)
+        calls = []
+        original_stats = core._stats_from_arrays
+        original_init = Dataset.__post_init__
+
+        def counting_stats(*args):
+            calls.append("stats")
+            return original_stats(*args)
+
+        def counting_init(self):
+            calls.append("dataset")
+            original_init(self)
+
+        monkeypatch.setattr(core, "_stats_from_arrays", counting_stats)
+        monkeypatch.setattr(Dataset, "__post_init__", counting_init)
+        kfold_cv(d, k=4, reps=2, model="vqda", seed=1)
+        assert calls == []
+
+    def test_undersized_training_fold_message(self):
+        # Folds 1 and 2 each hold one of the two group-1 rows, so training
+        # fold 1 keeps one group-1 row and seven group-0 rows.
+        rng = np.random.default_rng(0)
+        d = Dataset(rng.standard_normal((12, 3)), [0] * 10 + [1] * 2)
+        message = "each group needs >= 2 observations, got n1=1, n0=7"
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+            kfold_cv(d, k=3)
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+            _per_fold_refit_cv(d, k=3)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_fold_stats_match_compute_stats_at_offset(self, offset):
+        rng = np.random.default_rng(11)
+        y = np.repeat([0, 1], 50)
+        X = offset + rng.standard_normal((100, 2000))
+        X[y == 1, :20] += 1.5
+        X[y == 1, 20:40] *= 2.0
+        folds = stratified_folds(y, 5, np.random.default_rng(5))
+        fields = ("mu_hat", "mu1_hat", "mu0_hat", "var_total", "var_pooled", "var1", "var0")
+        for fold, s in enumerate(_fold_stats(X, y, folds, 5, 1e-12)):
+            train = folds != fold
+            ref = compute_stats(Dataset(X[train], y[train]))
+            assert (s.n, s.n1, s.n0) == (ref.n, ref.n1, ref.n0)
+            np.testing.assert_array_equal(s.floored, ref.floored)
+            for field in fields:
+                got, want = getattr(s, field), getattr(ref, field)
+                rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                assert rel.max() <= 1e-12, (field, rel.max())
 
 
 def test_negative_seed_rejected():
