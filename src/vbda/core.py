@@ -12,6 +12,12 @@ constant b_gamma and the Stirling-corrected log-gamma term xi.
 Conventions used throughout:
 
 * All variance MLEs use denominators n, n1, n0 (not the unbiased n-1 forms).
+* Every ``VariableStats`` is built by ``_stats_from_moments`` from each
+  group's row count n_g and column sums S_g and sums of squares Q_g about the
+  group's column means c_g: mu_g = S_g/n_g + c_g, var_g = Q_g/n_g - (S_g/n_g)^2,
+  accurate at any column offset and group gap, and the null model by the law
+  of total variance.  Moments add over disjoint rows, so cross-validation
+  builds a training fold's statistics from group totals minus held-out cells.
 * Variances are floored at ``variance_floor`` so constant columns degrade
   gracefully instead of producing infinities; a per-variable flag records
   where flooring happened.
@@ -245,42 +251,45 @@ class VariableStats:
         return self.mu_hat.shape[0]
 
 
-def _make_stats(mu, mu1, mu0, var_total, var1, var0, n, n1, n0, variance_floor) -> VariableStats:
-    """VariableStats from unfloored moments: pools the group variances as
-    var_pooled = (n1 * var1 + n0 * var0) / n, raises every variance below
-    the floor up to it and flags the variables where that happened."""
+def _group_centers(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows 0 and 1: the column means of groups 0 and 1, from one product."""
+    onehot = np.stack([y == 0, y == 1]).astype(np.float64)
+    return (onehot @ X) / onehot.sum(axis=1)[:, None]
+
+
+def _moments(X: np.ndarray, rows, center: np.ndarray):
+    """(count, S, Q) of the cell X[rows] - center: its row count, column sums
+    S and column sums of squares Q.  No temporary is larger than the cell."""
+    blk = X[rows]
+    blk -= center
+    return blk.shape[0], blk.sum(axis=0), np.einsum("ij,ij->j", blk, blk)
+
+
+def _stats_from_moments(centers: np.ndarray, m0, m1, variance_floor: float) -> VariableStats:
+    """VariableStats from the ``_moments`` of groups 0 and 1 about
+    ``centers`` (see the module docstring): var_g is clipped at 0 and every
+    variance below the floor is raised to it and flagged.  Raises like
+    ``Dataset.validate_training`` unless both groups have enough rows."""
+    (n0, s0, q0), (n1, s1, q1) = m0, m1
+    n = n0 + n1
+    _check_counts(n, n1, n0)
+    d1, d0 = s1 / n1, s0 / n0
+    var1 = np.maximum(q1 / n1 - d1 * d1, 0.0)
+    var0 = np.maximum(q0 / n0 - d0 * d0, 0.0)
+    mu1, mu0 = d1 + centers[1], d0 + centers[0]
+    diff = (d1 - d0) + (centers[1] - centers[0])
     var_pooled = (n1 * var1 + n0 * var0) / n
-    floored = (
-        (var1 < variance_floor)
-        | (var0 < variance_floor)
-        | (var_pooled < variance_floor)
-        | (var_total < variance_floor)
-    )
-    return VariableStats(
-        mu_hat=mu,
-        mu1_hat=mu1,
-        mu0_hat=mu0,
-        var_total=np.maximum(var_total, variance_floor),
-        var_pooled=np.maximum(var_pooled, variance_floor),
-        var1=np.maximum(var1, variance_floor),
-        var0=np.maximum(var0, variance_floor),
-        floored=floored,
-        n=n,
-        n1=n1,
-        n0=n0,
-    )
+    var_total = var_pooled + (n1 * n0 / (n * n)) * diff * diff
+    # var_total >= var_pooled, so it needs no flag of its own.
+    floored = (var1 < variance_floor) | (var0 < variance_floor) | (var_pooled < variance_floor)
+    variances = (np.maximum(v, variance_floor) for v in (var_total, var_pooled, var1, var0))
+    return VariableStats((n1 * mu1 + n0 * mu0) / n, mu1, mu0, *variances, floored, n, n1, n0)
 
 
-def _stats_from_arrays(X: np.ndarray, y: np.ndarray, variance_floor: float) -> VariableStats:
-    # Denominators are deliberately n, n1, n0 -- MLE convention.
-    # The whole-matrix moments come first, so the n-by-p temporary of
-    # X.var is freed before the group rows are copied out.
-    mu = X.mean(axis=0)
-    var_total = X.var(axis=0)
-    X1, X0 = X[y == 1], X[y == 0]
-    return _make_stats(
-        mu, X1.mean(axis=0), X0.mean(axis=0), var_total, X1.var(axis=0), X0.var(axis=0),
-        X.shape[0], X1.shape[0], X0.shape[0], variance_floor,
+def _stats_of_groups(X: np.ndarray, y: np.ndarray, variance_floor: float) -> VariableStats:
+    centers = _group_centers(X, y)
+    return _stats_from_moments(
+        centers, *(_moments(X, y == g, centers[g]) for g in (0, 1)), variance_floor
     )
 
 
@@ -288,15 +297,15 @@ def compute_stats(d: Dataset, variance_floor: float = 1e-12) -> VariableStats:
     """Training-only per-variable MLEs.
 
     These are the large-n (Taylor) forms used inside the selection updates.
-    Each mean and variance is taken directly over its own row set: all rows
-    for the null model (mu_hat, var_total), the group-k rows for mu_k_hat and
-    var_k.  The pooled alternative variance is their count-weighted mean,
-    var_pooled = (n1 * var1 + n0 * var0) / n, so the identity
-    n * var_pooled == n1 * var1 + n0 * var0 holds before flooring.  Raises
+    All of them come from the two groups' centered moments (see the module
+    docstring): the group means and variances mu_k_hat and var_k, their
+    pooled alternative var_pooled = (n1 * var1 + n0 * var0) / n, so that
+    n * var_pooled == n1 * var1 + n0 * var0 holds before flooring, and the
+    null model (mu_hat, var_total) by the law of total variance.  Raises
     DataValidationError unless ``d`` is a valid training set.
     """
     d.validate_training()
-    return _stats_from_arrays(d.X, d.y, variance_floor)
+    return _stats_of_groups(d.X, d.y, variance_floor)
 
 
 def compute_stats_with_new(
@@ -323,7 +332,7 @@ def compute_stats_with_new(
         raise DataValidationError("x_new contains non-finite values")
     X_aug = np.vstack([d.X, x_new])
     y_aug = np.concatenate([d.y, [y_new]]).astype(np.int8)
-    return _stats_from_arrays(X_aug, y_aug, variance_floor)
+    return _stats_of_groups(X_aug, y_aug, variance_floor)
 
 
 def log_b_gamma(n: int, p: int, r: float, kappa: float) -> float:

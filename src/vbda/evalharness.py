@@ -9,11 +9,9 @@ shuffle, with the fold counter running on across groups.  That guarantees
 both groups appear in every training fold whenever each group has at least
 ``k`` members, and it degrades gracefully to leave-one-out (k = n), where
 folds simply alternate between the groups.  It never copies a training
-fold: one pass per repetition takes the group-centered column sums and sums
-of squares of every (fold, group) cell, each training fold's statistics are
-the totals minus its held-out cells, and the fit starts from them.  Those
-statistics agree with ``compute_stats`` on the fold's rows to within 1e-12
-relative to max(1, |x|), column offsets of 1e6 included.
+fold: one pass per repetition takes the group moments of every (fold, group)
+cell, and each training fold's statistics are built from the totals minus
+its held-out cells (see ``core``).
 
 ``consistency_experiment`` tracks the soft selection errors
 e0 = sum of w over noise variables, e1 = sum of (1 - w) over signal
@@ -33,8 +31,9 @@ from .core import (
     DataValidationError,
     Dataset,
     Hyperparameters,
-    _check_counts,
-    _make_stats,
+    _group_centers,
+    _moments,
+    _stats_from_moments,
     compute_stats,
 )
 from .rcvb import _FITTERS, _fit, predict, select_variables
@@ -158,47 +157,26 @@ def _fold_stats(X: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int,
     """Yield the training statistics of folds 0..k-1 in turn, each from the
     rows outside that fold, without copying those rows.
 
-    One pass takes, for every nonempty (fold, group) cell of rows, the column
-    sums S and sums of squares Q after subtracting that group's full-data
-    column mean c_g; no temporary is larger than one cell.  A training fold's
-    group sums are the group totals minus its held-out cell, and from them
-    mu_g = S / n_g + c_g and var_g = Q / n_g - (S / n_g)^2, clipped at 0.
-    Centering each group on its own mean keeps S / n_g small, so var_g keeps
-    its accuracy however far apart the two groups lie.  The null model follows by
-    the law of total variance, var_total = [n1 var1 + n0 var0
-    + (n1 n0 / n) (mu1 - mu0)^2] / n, a sum of nonnegative terms.  Raises the
-    DataValidationError of ``Dataset.validate_training`` at the first fold
-    whose training rows are too few.
+    One pass takes the ``core._moments`` of every nonempty (fold, group)
+    cell about that group's full-data column means.  A training fold's group
+    moments are the group totals minus its held-out cell, and
+    ``core._stats_from_moments`` turns them into statistics, raising at the
+    first fold whose training rows are too few.
     """
-    groups = np.stack([y == 0, y == 1])
-    centers = (groups.astype(np.float64) @ X) / groups.sum(axis=1)[:, None]
-    cells = {}  # (fold, group) -> (rows, S, Q) of the held-out cell
+    centers = _group_centers(X, y)
+    cells = {}  # (fold, group) -> moments of the held-out cell
     totals = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
     for fold in range(k):
         for g in (0, 1):
-            idx = np.flatnonzero((folds == fold) & groups[g])
+            idx = np.flatnonzero((folds == fold) & (y == g))
             if idx.size:
-                blk = X[idx]
-                blk -= centers[g]
-                cell = (idx.size, blk.sum(axis=0), np.einsum("ij,ij->j", blk, blk))
-                cells[fold, g] = cell
+                cells[fold, g] = cell = _moments(X, idx, centers[g])
                 totals[g] = tuple(t + v for t, v in zip(totals[g], cell))
-    center_diff = centers[1] - centers[0]
     for fold in range(k):
-        (n0, s0, q0), (n1, s1, q1) = (
+        yield _stats_from_moments(centers, *(
             tuple(t - v for t, v in zip(totals[g], cells.get((fold, g), (0, 0.0, 0.0))))
             for g in (0, 1)
-        )
-        n = n0 + n1
-        _check_counts(n, n1, n0)
-        m1, m0 = s1 / n1, s0 / n0
-        var1 = np.maximum(q1 / n1 - m1 * m1, 0.0)
-        var0 = np.maximum(q0 / n0 - m0 * m0, 0.0)
-        mu1, mu0 = m1 + centers[1], m0 + centers[0]
-        diff = (m1 - m0) + center_diff
-        var_total = (n1 * var1 + n0 * var0 + (n1 * n0 / n) * diff * diff) / n
-        yield _make_stats((n1 * mu1 + n0 * mu0) / n, mu1, mu0, var_total, var1, var0,
-                          n, n1, n0, variance_floor)
+        ), variance_floor)
 
 
 def kfold_cv(
@@ -216,10 +194,16 @@ def kfold_cv(
 
     Each training fold is fitted from statistics derived from one pass of
     per-(fold, group) moments (see ``_fold_stats``), not from a copy of its
-    rows: they match ``compute_stats`` on those rows to within 1e-12
-    relative to max(1, |x|).  The held-out rows are scored with ``predict``.
-    A training fold with fewer than two rows of either group raises the same
-    DataValidationError as ``Dataset.validate_training``."""
+    rows; they match ``compute_stats`` on those rows up to rounding.
+    The held-out rows are scored with ``predict``.  A training fold with
+    fewer than two rows of either group raises the same DataValidationError
+    as ``Dataset.validate_training``.
+
+    With ``vlda``, leave-one-out (k = n) error is biased upward when few
+    variables are selected: the held-out row's group is one row short in
+    training, so the prior odds log((n1 + a_y) / (n0 + b_y)) always favour
+    its other group.  On balanced data where no variable is selected, it can
+    misclassify every row."""
     if model not in _FITTERS:
         raise DataValidationError(f"model must be one of {sorted(_FITTERS)}, got {model!r}")
     if reps < 1:

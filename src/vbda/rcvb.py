@@ -41,7 +41,6 @@ from .core import (
     lambda_lrt_lda,
     lambda_lrt_qda,
     log_b_gamma,
-    log_gaussian_density,
     xi,
 )
 
@@ -294,14 +293,14 @@ def predict_vqda(
     s = f.stats
     g1 = math.lgamma((s.n1 + 1) / 2.0) - math.lgamma(s.n1 / 2.0)
     g0 = math.lgamma((s.n0 + 1) / 2.0) - math.lgamma(s.n0 / 2.0)
-    loglik_diff = log_gaussian_density(X, s.mu1_hat, s.var1) - log_gaussian_density(
-        X, s.mu0_hat, s.var0
-    )
-    score = (
-        math.log(s.n1 / s.n0)
-        + f.w.sum() * (g1 - g0)
-        + 0.5 * (loglik_diff @ f.w)
-    )
+    # w^T {log phi(x; mu1, var1) - log phi(x; mu0, var0)}, with both squared
+    # deviations taken in turn in one m-by-p buffer.
+    buf = np.subtract(X, s.mu0_hat)
+    weighted = np.square(buf, out=buf) @ (f.w / (2.0 * s.var0))
+    np.subtract(X, s.mu1_hat, out=buf)
+    weighted -= np.square(buf, out=buf) @ (f.w / (2.0 * s.var1))
+    weighted -= 0.5 * (f.w @ np.log(s.var1 / s.var0))
+    score = math.log(s.n1 / s.n0) + f.w.sum() * (g1 - g0) + 0.5 * weighted
     y_tilde = expit(score)
     return Prediction(
         y_tilde=y_tilde,

@@ -171,21 +171,26 @@ class TestComputeStats:
         assert s.mu1_hat[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_large_offset_matches_numpy(self):
+        # Column offset 1e6, with the group-1 means a further 0, 1e3 or 1e6
+        # away: the case that needs each group centered on its own means.
         rng = np.random.default_rng(3)
         y = np.array([1] * 17 + [0] * 23)
-        X = 1e6 + rng.standard_normal((40, 5))
-        s = compute_stats(Dataset(X, y))
-        X1, X0 = X[y == 1], X[y == 0]
-        for got, want in [
-            (s.mu_hat, X.mean(axis=0)),
-            (s.mu1_hat, np.mean(X1, axis=0)),
-            (s.mu0_hat, np.mean(X0, axis=0)),
-            (s.var_total, np.var(X, axis=0)),
-            (s.var1, np.var(X1, axis=0)),
-            (s.var0, np.var(X0, axis=0)),
-            (s.var_pooled, (17 * np.var(X1, axis=0) + 23 * np.var(X0, axis=0)) / 40),
-        ]:
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+        base = 1e6 + rng.standard_normal((40, 5))
+        for gap in (0.0, 1e3, 1e6):
+            X = base.copy()
+            X[y == 1] += gap
+            s = compute_stats(Dataset(X, y))
+            X1, X0 = X[y == 1], X[y == 0]
+            for got, want in [
+                (s.mu_hat, X.mean(axis=0)),
+                (s.mu1_hat, np.mean(X1, axis=0)),
+                (s.mu0_hat, np.mean(X0, axis=0)),
+                (s.var_total, np.var(X, axis=0)),
+                (s.var1, np.var(X1, axis=0)),
+                (s.var0, np.var(X0, axis=0)),
+                (s.var_pooled, (17 * np.var(X1, axis=0) + 23 * np.var(X0, axis=0)) / 40),
+            ]:
+                np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_constant_column_floored(self):
         X = np.column_stack([np.ones(6), X_HAND[:, 0]])

@@ -15,7 +15,6 @@ from vbda import (
     Hyperparameters,
     SimSetting,
     classification_error,
-    compute_stats,
     consistency_experiment,
     fit_vlda,
     fit_vqda,
@@ -27,7 +26,7 @@ from vbda import (
     setting_from_index,
     stratified_folds,
 )
-from vbda import core
+from vbda import core, evalharness
 from vbda.evalharness import _fold_stats, _mcc_from_counts
 from vbda.simgen import derive_seed
 
@@ -255,6 +254,23 @@ def _per_fold_refit_cv(d, k, reps=1, model="vlda", seed=0, gamma_true=None,
     return CVReport(model=model, k=k, reps=tuple(reports))
 
 
+def _numpy_stats(X, y, floor):
+    """((n, n1, n0), floored, {field: value}): the seven statistics of
+    ``VariableStats`` by plain numpy mean and var over each row set, floored
+    and flagged as documented."""
+    X1, X0 = X[y == 1], X[y == 0]
+    n, n1, n0 = len(X), len(X1), len(X0)
+    var1, var0 = X1.var(axis=0), X0.var(axis=0)
+    raw = dict(mu_hat=X.mean(axis=0), mu1_hat=X1.mean(axis=0), mu0_hat=X0.mean(axis=0),
+               var_total=X.var(axis=0), var_pooled=(n1 * var1 + n0 * var0) / n,
+               var1=var1, var0=var0)
+    variances = ("var_total", "var_pooled", "var1", "var0")
+    floored = np.logical_or.reduce([raw[f] < floor for f in variances])
+    for f in variances:
+        raw[f] = np.maximum(raw[f], floor)
+    return (n, n1, n0), floored, raw
+
+
 def _cv_data(degenerate: bool) -> Dataset:
     """24 x 12, weak signal in columns 0-2; optionally column 5 constant and
     column 6 constant within group 1, so some variances hit the floor."""
@@ -288,28 +304,39 @@ class TestFoldMoments:
         folds = stratified_folds(d.y, k, np.random.default_rng(3))
         for fold, s in enumerate(_fold_stats(d.X, d.y, folds, k, 1e-12)):
             train = folds != fold
-            ref = compute_stats(Dataset(d.X[train], d.y[train]))
-            np.testing.assert_array_equal(s.floored, ref.floored)
+            _, floored, _ = _numpy_stats(d.X[train], d.y[train], 1e-12)
+            np.testing.assert_array_equal(s.floored, floored)
             assert s.floored[5] and s.floored[6] and not s.floored[0]
 
     def test_no_per_fold_dataset_or_direct_stats(self, monkeypatch):
+        # One pass per repetition: every row enters exactly one cell's
+        # moments, each fold's statistics are built once from them, and no
+        # fold gets a Dataset of its own.
         d = _cv_data(degenerate=False)
-        calls = []
-        original_stats = core._stats_from_arrays
+        rows, builds, datasets = [], [], []
+        original_moments = evalharness._moments
+        original_build = evalharness._stats_from_moments
         original_init = Dataset.__post_init__
 
-        def counting_stats(*args):
-            calls.append("stats")
-            return original_stats(*args)
+        def counting_moments(X, idx, center):
+            rows.append(len(idx))
+            return original_moments(X, idx, center)
+
+        def counting_build(*args):
+            builds.append(1)
+            return original_build(*args)
 
         def counting_init(self):
-            calls.append("dataset")
+            datasets.append(1)
             original_init(self)
 
-        monkeypatch.setattr(core, "_stats_from_arrays", counting_stats)
+        monkeypatch.setattr(evalharness, "_moments", counting_moments)
+        monkeypatch.setattr(evalharness, "_stats_from_moments", counting_build)
         monkeypatch.setattr(Dataset, "__post_init__", counting_init)
         kfold_cv(d, k=4, reps=2, model="vqda", seed=1)
-        assert calls == []
+        assert sum(rows) == 2 * d.n
+        assert len(builds) == 2 * 4
+        assert datasets == []
 
     def test_undersized_training_fold_message(self):
         # Folds 1 and 2 each hold one of the two group-1 rows, so training
@@ -323,21 +350,20 @@ class TestFoldMoments:
             _per_fold_refit_cv(d, k=3)
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
-    def test_fold_stats_match_compute_stats_at_offset(self, offset):
+    def test_fold_stats_match_numpy_at_offset(self, offset):
         rng = np.random.default_rng(11)
         y = np.repeat([0, 1], 50)
         X = offset + rng.standard_normal((100, 2000))
         X[y == 1, :20] += 1.5
         X[y == 1, 20:40] *= 2.0
         folds = stratified_folds(y, 5, np.random.default_rng(5))
-        fields = ("mu_hat", "mu1_hat", "mu0_hat", "var_total", "var_pooled", "var1", "var0")
         for fold, s in enumerate(_fold_stats(X, y, folds, 5, 1e-12)):
             train = folds != fold
-            ref = compute_stats(Dataset(X[train], y[train]))
-            assert (s.n, s.n1, s.n0) == (ref.n, ref.n1, ref.n0)
-            np.testing.assert_array_equal(s.floored, ref.floored)
-            for field in fields:
-                got, want = getattr(s, field), getattr(ref, field)
+            counts, floored, ref = _numpy_stats(X[train], y[train], 1e-12)
+            assert (s.n, s.n1, s.n0) == counts
+            np.testing.assert_array_equal(s.floored, floored)
+            for field, want in ref.items():
+                got = getattr(s, field)
                 rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
                 assert rel.max() <= 1e-12, (field, rel.max())
 
@@ -409,13 +435,13 @@ class TestConsistencyExperiment:
 
     def test_stats_computed_once_per_replicate(self, monkeypatch):
         calls = []
-        original = core._stats_from_arrays
+        original = core._stats_from_moments
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(core, "_stats_from_arrays", counting)
+        monkeypatch.setattr(core, "_stats_from_moments", counting)
         consistency_experiment(setting_from_index(1, p=200), (20, 40), 3)
         assert len(calls) == 6  # 2 training sizes x 3 replicates
 

@@ -18,6 +18,7 @@ from vbda import (
     expit,
     fit_vlda,
     fit_vqda,
+    log_gaussian_density,
     predict,
     predict_coupled_vlda,
     predict_vlda,
@@ -260,6 +261,26 @@ class TestPredictVqda:
         narrow = np.array([[0.1, -0.1, 0.0, 0.0]])
         assert not predict_vqda(f, wide).labels[0]
         assert predict_vqda(f, narrow).labels[0]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_score_matches_density_form(self, offset):
+        # Reference: the rule as written in the docstring, one Gaussian log
+        # density per group and element.
+        rng = np.random.default_rng(12)
+        y = np.repeat([0, 1], 30)
+        X = offset + rng.standard_normal((60, 500))
+        X[y == 1, :20] += 1.0
+        X[y == 0, 20:40] *= 3.0
+        f = fit_vqda(Dataset(X, y))
+        x = offset + rng.standard_normal((40, 500))
+        s = f.stats
+        g1 = math.lgamma((s.n1 + 1) / 2.0) - math.lgamma(s.n1 / 2.0)
+        g0 = math.lgamma((s.n0 + 1) / 2.0) - math.lgamma(s.n0 / 2.0)
+        loglik_diff = (log_gaussian_density(x, s.mu1_hat, s.var1)
+                       - log_gaussian_density(x, s.mu0_hat, s.var0))
+        want = math.log(s.n1 / s.n0) + f.w.sum() * (g1 - g0) + 0.5 * (loglik_diff @ f.w)
+        got = predict_vqda(f, x).score
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
     @pytest.mark.invariant
     @given(st.integers(0, 2**31 - 1))
