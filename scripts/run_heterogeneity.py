@@ -19,12 +19,11 @@ from vbda import (
     SimSetting,
     classification_error,
     derive_seed,
-    fit_vlda,
-    fit_vqda,
     generate,
     predict,
 )
 from vbda.dataio import write_json
+from vbda.rcvb import _FITTERS
 
 
 def parse_args():
@@ -57,10 +56,10 @@ def main():
             delta_sigma=ds,
         )
         med = {}
-        for model, fitter in (("vlda", fit_vlda), ("vqda", fit_vqda)):
+        for model, fitter in _FITTERS.items():
             errs = [
                 classification_error(
-                    predict(fitter(rep.train, h), rep.test.X).labels, rep.test.y
+                    predict(fitter(rep.train, h), rep.test).labels, rep.test.y
                 )
                 for rep in (
                     generate(replace(setting, seed=derive_seed(args.seed, i)))

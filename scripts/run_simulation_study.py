@@ -19,8 +19,6 @@ from vbda import (
     Hyperparameters,
     classification_error,
     derive_seed,
-    fit_vlda,
-    fit_vqda,
     generate,
     mcc,
     predict,
@@ -28,8 +26,7 @@ from vbda import (
     setting_from_index,
 )
 from vbda.dataio import write_json, write_tsv
-
-FITTERS = {"vlda": fit_vlda, "vqda": fit_vqda}
+from vbda.rcvb import _FITTERS
 
 
 def parse_args():
@@ -75,15 +72,13 @@ def main():
     summary = {}
     for index in parse_settings(args.settings):
         setting = setting_from_index(index, **overrides)
-        for model, fitter in FITTERS.items():
+        for model, fitter in _FITTERS.items():
             errs, mccs = [], []
             t0 = time.perf_counter()
             for rep_i in range(args.reps):
                 rep = generate(replace(setting, seed=derive_seed(args.seed, index, rep_i)))
                 f = fitter(rep.train, h)
-                err = classification_error(
-                    predict(f, rep.test.X).labels, rep.test.y
-                )
+                err = classification_error(predict(f, rep.test).labels, rep.test.y)
                 quality = mcc(select_variables(f), rep.gamma_true)
                 errs.append(err)
                 mccs.append(quality)

@@ -148,7 +148,7 @@ def cmd_predict(args) -> int:
     d = load_csv(args.data, label_column=args.label)
     aligned = align_to_columns(d, f.columns)
     h = _hyper_from_args(args, base=f.hyper)
-    pred = predict(f, aligned.X, h, coupled=args.coupled)
+    pred = predict(f, aligned, h, coupled=args.coupled)
     out = _out_dir(args)
     rows = prediction_rows(pred)
     write_tsv(rows, os.path.join(out, "predictions.tsv"), ("row_id", "y_tilde", "label"))

@@ -49,7 +49,6 @@ __all__ = [
     "lambda_lrt_lda",
     "lambda_lrt_qda",
     "expit",
-    "log_gaussian_density",
 ]
 
 
@@ -443,10 +442,3 @@ def expit(x):
         np.exp(t, out=t)
         t += 1.0
         return np.reciprocal(t, out=t)
-
-
-def log_gaussian_density(x, mu, var):
-    """Element-wise log N(x; mu, var) = -(1/2) log(2 pi var) - (x-mu)^2/(2 var)."""
-    x = np.asarray(x, dtype=np.float64)
-    var = np.asarray(var, dtype=np.float64)
-    return -0.5 * np.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)

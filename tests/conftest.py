@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -37,3 +39,10 @@ def make_balanced(n: int, p: int, seed: int, shift: float = 0.0, k: int = 0):
     if k:
         X[y == 1, :k] += shift
     return vbda.Dataset(X, y)
+
+
+def log_gaussian_density(x, mu, var):
+    """Element-wise log N(x; mu, var) = -(1/2) log(2 pi var) - (x-mu)^2/(2 var)."""
+    x = np.asarray(x, dtype=np.float64)
+    var = np.asarray(var, dtype=np.float64)
+    return -0.5 * np.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)

@@ -30,9 +30,10 @@ from vbda import (
     lambda_lrt_lda,
     lambda_lrt_qda,
     log_b_gamma,
-    log_gaussian_density,
     xi,
 )
+
+from conftest import log_gaussian_density
 
 X_HAND = np.array([[1.0], [2.0], [3.0], [4.0], [6.0], [8.0]])
 Y_HAND = np.array([1, 1, 1, 0, 0, 0])

@@ -26,7 +26,7 @@ from vbda import (
     setting_from_index,
     stratified_folds,
 )
-from vbda import core, evalharness
+from vbda import core, evalharness, rcvb
 from vbda.evalharness import _fold_stats, _mcc_from_counts
 from vbda.simgen import derive_seed
 
@@ -226,6 +226,29 @@ class TestKFoldCV:
             kfold_cv(d, k=4, model="lda")
         with pytest.raises(DataValidationError):
             kfold_cv(d, k=4, reps=0)
+        with pytest.raises(DataValidationError, match="vlda only"):
+            kfold_cv(d, k=4, model="vqda", coupled=True)
+
+    @pytest.mark.parametrize("model, coupled",
+                             [("vlda", False), ("vqda", False), ("vlda", True)])
+    def test_held_out_rows_scored_like_predict(self, model, coupled, monkeypatch):
+        # kfold_cv scores each fold's rows in place inside d.X; with blocks of
+        # a few columns, its counts must equal predict on a copy of the rows.
+        monkeypatch.setattr(rcvb, "_BLOCK", 64)
+        d = make_balanced(40, 500, seed=2, shift=0.6, k=40)
+        h = Hyperparameters()
+        want = []
+        for rep in range(2):
+            folds = stratified_folds(d.y, 4, np.random.default_rng(derive_seed(5, rep)))
+            wrong = 0
+            for fold, stats in enumerate(_fold_stats(d.X, d.y, folds, 4, h.variance_floor)):
+                test = np.flatnonzero(folds == fold)
+                pred = predict(rcvb._fit(stats, h, model), d.X[test], h, coupled=coupled)
+                wrong += int(np.sum(pred.labels != d.y[test]))
+            want.append(wrong)
+        got = kfold_cv(d, k=4, reps=2, model=model, seed=5, coupled=coupled).misclassified
+        assert got.tolist() == want
+        assert 0 < sum(want) < 2 * d.n
 
 
 def _per_fold_refit_cv(d, k, reps=1, model="vlda", seed=0, gamma_true=None,

@@ -18,15 +18,19 @@ from vbda import (
     expit,
     fit_vlda,
     fit_vqda,
-    log_gaussian_density,
     predict,
     predict_coupled_vlda,
     predict_vlda,
     predict_vqda,
     select_variables,
 )
+from vbda import rcvb
 
-from conftest import make_balanced
+from conftest import log_gaussian_density, make_balanced
+
+# A block size that splits 40 new rows of p = 500 into 84 column blocks of
+# 6 (the last one of 2), so every blocked path runs many times.
+SMALL_BLOCK = 256
 
 
 def state_with_w(d: Dataset, w, model="vlda", h=None) -> FitState:
@@ -262,10 +266,10 @@ class TestPredictVqda:
         assert not predict_vqda(f, wide).labels[0]
         assert predict_vqda(f, narrow).labels[0]
 
-    @pytest.mark.parametrize("offset", [0.0, 1e3])
-    def test_score_matches_density_form(self, offset):
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_score_matches_density_form(self, offset, monkeypatch):
         # Reference: the rule as written in the docstring, one Gaussian log
-        # density per group and element.
+        # density per group and element.  Scored in one block and in many.
         rng = np.random.default_rng(12)
         y = np.repeat([0, 1], 30)
         X = offset + rng.standard_normal((60, 500))
@@ -279,8 +283,10 @@ class TestPredictVqda:
         loglik_diff = (log_gaussian_density(x, s.mu1_hat, s.var1)
                        - log_gaussian_density(x, s.mu0_hat, s.var0))
         want = math.log(s.n1 / s.n0) + f.w.sum() * (g1 - g0) + 0.5 * (loglik_diff @ f.w)
-        got = predict_vqda(f, x).score
-        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+        for block in (rcvb._BLOCK, SMALL_BLOCK):
+            monkeypatch.setattr(rcvb, "_BLOCK", block)
+            got = predict_vqda(f, x).score
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
     @pytest.mark.invariant
     @given(st.integers(0, 2**31 - 1))
@@ -367,3 +373,73 @@ class TestPredictDispatcher:
         lo = predict(f, x, replace(f.hyper, c_y=0.001))
         hi = predict(f, x, replace(f.hyper, c_y=0.999))
         assert lo.labels[0] and not hi.labels[0]
+
+
+def _wide_fit(offset: float, model: str = "vlda"):
+    """60 x 500 training rows at a common column offset, with mean signal in
+    columns 0-19 and variance signal in 20-39, and 40 new rows."""
+    rng = np.random.default_rng(21)
+    y = np.repeat([0, 1], 30)
+    X = offset + rng.standard_normal((60, 500))
+    X[y == 1, :20] += 1.0
+    X[y == 0, 20:40] *= 3.0
+    fit = fit_vlda if model == "vlda" else fit_vqda
+    return fit(Dataset(X, y)), offset + rng.standard_normal((40, 500))
+
+
+def _whole_matrix_lda(f: FitState, x: np.ndarray) -> np.ndarray:
+    # The whole-matrix form of (1 + 1/n) LDA(x): one m-by-p array X - mid.
+    s = f.stats
+    mid = 0.5 * (s.mu1_hat + s.mu0_hat)
+    return (1.0 + 1.0 / s.n) * ((x - mid) @ (f.w * (s.mu1_hat - s.mu0_hat) / s.var_pooled))
+
+
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+class TestBlockedScorer:
+    """predict works through the columns in blocks of about rcvb._BLOCK
+    elements; shrinking the block must not change what it computes."""
+
+    @pytest.mark.parametrize("block", [SMALL_BLOCK, 16])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_vlda_matches_whole_matrix_form(self, offset, block, monkeypatch):
+        monkeypatch.setattr(rcvb, "_BLOCK", block)
+        f, x = _wide_fit(offset)
+        s, h = f.stats, f.hyper
+        want = math.log((s.n1 + h.a_y) / (s.n0 + h.b_y)) + _whole_matrix_lda(f, x)
+        assert _rel_err(predict_vlda(f, x).score, want) <= 1e-13
+
+    @pytest.mark.parametrize("block", [SMALL_BLOCK, 16])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_coupled_matches_whole_matrix_form(self, offset, block, monkeypatch):
+        # At the returned labels, each score is the batch log-odds term plus
+        # the whole-matrix discriminant.
+        monkeypatch.setattr(rcvb, "_BLOCK", block)
+        f, x = _wide_fit(offset)
+        s, h = f.stats, f.hyper
+        p = predict_coupled_vlda(f, x)
+        assert p.converged
+        others = p.y_tilde.sum() - p.y_tilde
+        want = (np.log(h.a_y + s.n1 + others) - np.log(h.b_y + s.n0 + x.shape[0] - 1 - others)
+                + _whole_matrix_lda(f, x))
+        assert _rel_err(p.score, want) <= 1e-13
+
+    @pytest.mark.parametrize("rule", [predict_vlda, predict_vqda, predict_coupled_vlda])
+    @pytest.mark.parametrize("where, bad", [((0, 0), np.inf), ((-1, -1), np.nan)])
+    def test_non_finite_rejected_in_any_block(self, rule, where, bad, monkeypatch):
+        monkeypatch.setattr(rcvb, "_BLOCK", SMALL_BLOCK)
+        f, x = _wide_fit(0.0)
+        x[where] = bad
+        with pytest.raises(DataValidationError, match="new observations contain non-finite values"):
+            rule(f, x)
+
+    @pytest.mark.parametrize("model, coupled", [("vlda", False), ("vqda", False), ("vlda", True)])
+    def test_dataset_and_array_score_alike(self, model, coupled, monkeypatch):
+        monkeypatch.setattr(rcvb, "_BLOCK", SMALL_BLOCK)
+        f, x = _wide_fit(1e3, model)
+        a = predict(f, x, coupled=coupled)
+        b = predict(f, Dataset(x), coupled=coupled)
+        np.testing.assert_array_equal(a.score, b.score)
+        np.testing.assert_array_equal(a.labels, b.labels)
