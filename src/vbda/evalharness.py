@@ -12,7 +12,7 @@ folds simply alternate between the groups.  It never copies a training
 fold: one pass per repetition takes the group moments of every (fold, group)
 cell, and each training fold's statistics are built from the totals minus
 its held-out cells (see ``core``).  The held-out rows are scored where they
-lie in the data matrix, a cache-sized block of columns at a time.
+lie in the data matrix, a cache-sized tile of rows and columns at a time.
 
 ``consistency_experiment`` tracks the soft selection errors
 e0 = sum of w over noise variables, e1 = sum of (1 - w) over signal
@@ -37,7 +37,7 @@ from .core import (
     _stats_from_moments,
     compute_stats,
 )
-from .rcvb import _FITTERS, _fit, _score, select_variables
+from .rcvb import _FITTERS, _fit, _rule, _score, select_variables
 from .simgen import SimSetting, derive_seed, generate
 
 __all__ = [
@@ -197,9 +197,8 @@ def kfold_cv(
     per-(fold, group) moments (see ``_fold_stats``), not from a copy of its
     rows; they match ``compute_stats`` on those rows up to rounding.
     The held-out rows are scored where they lie in ``d.X`` by the scorer
-    behind ``predict`` (``rcvb._score``), with no copy of them and no second
-    finiteness check of values the Dataset already checked; the labels are
-    exactly those of ``predict(f, d.X[test_idx])``.  A training fold with
+    behind ``predict`` (``rcvb._score``), with no copy of them; the labels
+    are exactly those of ``predict(f, d.X[test_idx])``.  A training fold with
     fewer than two rows of either group raises the same DataValidationError
     as ``Dataset.validate_training``.
 
@@ -212,12 +211,10 @@ def kfold_cv(
         raise DataValidationError(f"model must be one of {sorted(_FITTERS)}, got {model!r}")
     if reps < 1:
         raise DataValidationError("reps must be >= 1")
-    if coupled and model != "vlda":
-        raise DataValidationError("coupled prediction is defined for vlda only")
+    rule = _rule(model, coupled)
     d.validate_training()
     h = h or Hyperparameters()
     truth = None if gamma_true is None else np.asarray(gamma_true, dtype=bool)
-    rule = "coupled" if coupled else model
 
     reports = []
     for rep in range(reps):

@@ -232,8 +232,9 @@ class TestKFoldCV:
     @pytest.mark.parametrize("model, coupled",
                              [("vlda", False), ("vqda", False), ("vlda", True)])
     def test_held_out_rows_scored_like_predict(self, model, coupled, monkeypatch):
-        # kfold_cv scores each fold's rows in place inside d.X; with blocks of
-        # a few columns, its counts must equal predict on a copy of the rows.
+        # kfold_cv scores each fold's rows in place inside d.X; with tiles of
+        # 8 rows by 8 columns, its counts must equal predict on a copy of the
+        # rows.
         monkeypatch.setattr(rcvb, "_BLOCK", 64)
         d = make_balanced(40, 500, seed=2, shift=0.6, k=40)
         h = Hyperparameters()

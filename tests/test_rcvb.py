@@ -28,8 +28,9 @@ from vbda import rcvb
 
 from conftest import log_gaussian_density, make_balanced
 
-# A block size that splits 40 new rows of p = 500 into 84 column blocks of
-# 6 (the last one of 2), so every blocked path runs many times.
+# A block size that splits 40 new rows of p = 500 into tiles of 16 rows by
+# 16 columns (3 row blocks, the last of 8 rows, by 32 column blocks, the last
+# of 4 columns), so every tiled path runs many times.
 SMALL_BLOCK = 256
 
 
@@ -399,8 +400,8 @@ def _rel_err(got, want) -> float:
 
 
 class TestBlockedScorer:
-    """predict works through the columns in blocks of about rcvb._BLOCK
-    elements; shrinking the block must not change what it computes."""
+    """predict works through the rows in tiles of at most rcvb._BLOCK
+    elements; shrinking the tiles must not change what it computes."""
 
     @pytest.mark.parametrize("block", [SMALL_BLOCK, 16])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
@@ -434,6 +435,26 @@ class TestBlockedScorer:
         x[where] = bad
         with pytest.raises(DataValidationError, match="new observations contain non-finite values"):
             rule(f, x)
+
+    @pytest.mark.parametrize("m", [1, 300])
+    def test_row_blocks_match_whole_matrix_form(self, m, monkeypatch):
+        # 300 rows of 500 columns make 19 row blocks; a single row one tile
+        # row of 256 columns, then a last one of 244.
+        monkeypatch.setattr(rcvb, "_BLOCK", SMALL_BLOCK)
+        f, _ = _wide_fit(1e3)
+        x = 1e3 + np.random.default_rng(4).standard_normal((m, 500))
+        s, h = f.stats, f.hyper
+        want = math.log((s.n1 + h.a_y) / (s.n0 + h.b_y)) + _whole_matrix_lda(f, x)
+        assert _rel_err(predict_vlda(f, x).score, want) <= 1e-13
+
+    def test_dataset_values_checked_when_scored(self, monkeypatch):
+        # Dataset.X is a read-only view; the caller's array stays writable.
+        monkeypatch.setattr(rcvb, "_BLOCK", SMALL_BLOCK)
+        f, x = _wide_fit(0.0)
+        d = Dataset(x)
+        x[-1, -1] = np.nan
+        with pytest.raises(DataValidationError, match="new observations contain non-finite values"):
+            predict(f, d)
 
     @pytest.mark.parametrize("model, coupled", [("vlda", False), ("vqda", False), ("vlda", True)])
     def test_dataset_and_array_score_alike(self, model, coupled, monkeypatch):
