@@ -52,8 +52,6 @@ from .oracle import (
     exact_posterior,
     lambda_bayes_lda,
     lambda_bayes_qda,
-    numeric_lambda_lrt,
-    numeric_mle_check,
 )
 from .rcvb import (
     FitState,
@@ -108,8 +106,6 @@ __all__ = [
     "exact_posterior",
     "lambda_bayes_lda",
     "lambda_bayes_qda",
-    "numeric_lambda_lrt",
-    "numeric_mle_check",
     "COV_SPECS",
     "MEAN_SPECS",
     "SimReplicate",

@@ -11,8 +11,9 @@ both groups appear in every training fold whenever each group has at least
 folds simply alternate between the groups.  It never copies a training
 fold: one pass per repetition takes the group moments of every (fold, group)
 cell, and each training fold's statistics are built from the totals minus
-its held-out cells (see ``core``).  The held-out rows are scored where they
-lie in the data matrix, a cache-sized tile of rows and columns at a time.
+its held-out cells (see ``core``).  Both the moments and the scores of the
+held-out rows are taken where the rows lie in the data matrix, a cache-sized
+tile of rows and columns at a time.
 
 ``consistency_experiment`` tracks the soft selection errors
 e0 = sum of w over noise variables, e1 = sum of (1 - w) over signal
@@ -158,24 +159,28 @@ def _fold_stats(X: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int,
     """Yield the training statistics of folds 0..k-1 in turn, each from the
     rows outside that fold, without copying those rows.
 
-    One pass takes the ``core._moments`` of every nonempty (fold, group)
-    cell about that group's full-data column means.  A training fold's group
-    moments are the group totals minus its held-out cell, and
+    One ``core._moments`` call takes the moments of every nonempty (fold,
+    group) cell about that group's full-data column means.  It reads the
+    cells in place, one cache-sized tile of rows and columns at a time, so
+    no copy larger than a tile is made.  A training fold's group moments
+    are the group totals minus its held-out cell, and
     ``core._stats_from_moments`` turns them into statistics, raising at the
     first fold whose training rows are too few.
     """
     centers = _group_centers(X, y)
-    cells = {}  # (fold, group) -> moments of the held-out cell
-    totals = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
+    cells = {}  # (fold, group) -> (rows, group) of the held-out cell
     for fold in range(k):
         for g in (0, 1):
             idx = np.flatnonzero((folds == fold) & (y == g))
             if idx.size:
-                cells[fold, g] = cell = _moments(X, idx, centers[g])
-                totals[g] = tuple(t + v for t, v in zip(totals[g], cell))
+                cells[fold, g] = idx, g
+    held = dict(zip(cells, _moments(X, list(cells.values()), centers)))
+    totals = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
+    for (_, g), cell in held.items():
+        totals[g] = tuple(t + v for t, v in zip(totals[g], cell))
     for fold in range(k):
         yield _stats_from_moments(centers, *(
-            tuple(t - v for t, v in zip(totals[g], cells.get((fold, g), (0, 0.0, 0.0))))
+            tuple(t - v for t, v in zip(totals[g], held.get((fold, g), (0, 0.0, 0.0))))
             for g in (0, 1)
         ), variance_floor)
 

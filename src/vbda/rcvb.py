@@ -41,6 +41,7 @@ from .core import (
     Dataset,
     Hyperparameters,
     VariableStats,
+    _tile_shape,
     compute_stats,
     expit,
     lambda_lrt_lda,
@@ -226,13 +227,6 @@ def fit_vqda(d: Dataset, h: Hyperparameters | None = None) -> FitState:
 _FITTERS = {"vlda": fit_vlda, "vqda": fit_vqda}
 
 
-# New rows are scored in tiles of at most _BLOCK elements (512 KB of float64),
-# so each tile's centred rows stay in cache and no m-by-p temporary is made.
-# On a 2-core Xeon with a 2 MB L2 per core, scoring 50 x 200000 rows took
-# 75-92 ms over block sizes 2**14 to 2**17 (all three rules), least at 2**16.
-_BLOCK = 1 << 16
-
-
 def _rule(model: str, coupled: bool) -> str:
     """The scoring rule for a fitted ``model``: "vlda", "vqda" or "coupled"."""
     if not coupled:
@@ -254,12 +248,11 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
         - (1/2) w^T log(var1 / var0),
 
     which keeps its accuracy at any column offset.  The rows are taken in
-    tiles of at most _BLOCK elements: as many columns as fit beside all the
-    rows, but at least isqrt(_BLOCK) of them, so that tall inputs are also
-    split by rows.  Each tile is copied into one reused buffer, checked for
-    non-finite values, centred in place and its matvec added into its rows'
-    scores; for the quadratic rule it is then squared in place for the
-    second matvec.
+    tiles shaped by ``core._tile_shape``, the rule the statistics use too,
+    so tall inputs are split by rows as well.  Each tile is copied into one
+    reused buffer, checked for non-finite values, centred in place and its
+    matvec added into its rows' scores; for the quadratic rule it is then
+    squared in place for the second matvec.
 
     ``x_new`` is a Dataset or array-like; its shape is checked at once.
     ``rows`` picks rows of x_new without copying the others;
@@ -283,8 +276,7 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
     else:
         linear, quadratic = w * diff / s.var_pooled, None
     m = X.shape[0] if rows is None else len(rows)
-    width = min(f.p, max(_BLOCK // max(m, 1), math.isqrt(_BLOCK)))
-    height = max(1, min(m, _BLOCK // width))
+    height, width = _tile_shape(m, f.p)
     buf = np.empty(height * width)
     disc = np.zeros(m)
     for top in range(0, m, height):

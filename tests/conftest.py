@@ -18,6 +18,21 @@ settings.load_profile("suite")
 
 
 @pytest.fixture
+def einsum_shapes(monkeypatch):
+    """The shape of the first operand of every ``np.einsum`` call made while
+    the test runs: ``core._moments`` makes one call per tile it reads."""
+    shapes = []
+    einsum = np.einsum
+
+    def counting_einsum(subscripts, tile, *rest, **kw):
+        shapes.append(tile.shape)
+        return einsum(subscripts, tile, *rest, **kw)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    return shapes
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)
 
@@ -46,3 +61,32 @@ def log_gaussian_density(x, mu, var):
     x = np.asarray(x, dtype=np.float64)
     var = np.asarray(var, dtype=np.float64)
     return -0.5 * np.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)
+
+
+def numpy_stats(X, y, floor):
+    """((n, n1, n0), floored, {field: value}): the seven statistics of
+    ``VariableStats`` by plain numpy mean and var over each row set, floored
+    and flagged as documented."""
+    X1, X0 = X[y == 1], X[y == 0]
+    n, n1, n0 = len(X), len(X1), len(X0)
+    var1, var0 = X1.var(axis=0), X0.var(axis=0)
+    raw = dict(mu_hat=X.mean(axis=0), mu1_hat=X1.mean(axis=0), mu0_hat=X0.mean(axis=0),
+               var_total=X.var(axis=0), var_pooled=(n1 * var1 + n0 * var0) / n,
+               var1=var1, var0=var0)
+    variances = ("var_total", "var_pooled", "var1", "var0")
+    floored = np.logical_or.reduce([raw[f] < floor for f in variances])
+    for f in variances:
+        raw[f] = np.maximum(raw[f], floor)
+    return (n, n1, n0), floored, raw
+
+
+def tiled_data(n: int, p: int, offset: float):
+    """(X, y): n balanced rows of p columns at a common column offset, with
+    a mean shift in the first 5 columns of group 1 and a variance change in
+    the next 5, for checking tiled statistics against ``numpy_stats``."""
+    rng = np.random.default_rng(7)
+    y = np.repeat([0, 1], n // 2)
+    X = offset + rng.standard_normal((y.size, p))
+    X[y == 1, :5] += 1.5
+    X[y == 1, 5:10] *= 2.0
+    return X, y

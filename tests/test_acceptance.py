@@ -30,13 +30,14 @@ from vbda import (
     lambda_lrt_lda,
     lambda_lrt_qda,
     log_b_gamma,
-    numeric_lambda_lrt,
     predict,
     predict_vlda,
     select_variables,
     setting_from_index,
 )
 from vbda.rcvb import _batch_fixed_point, _eta_offset
+
+from numeric_mle import numeric_lambda_lrt
 
 pytestmark = pytest.mark.acceptance
 

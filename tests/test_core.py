@@ -8,6 +8,7 @@ pooled 67/28, group-1 variance 35/16.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,8 +33,9 @@ from vbda import (
     log_b_gamma,
     xi,
 )
+from vbda import core
 
-from conftest import log_gaussian_density
+from conftest import log_gaussian_density, numpy_stats, tiled_data
 
 X_HAND = np.array([[1.0], [2.0], [3.0], [4.0], [6.0], [8.0]])
 Y_HAND = np.array([1, 1, 1, 0, 0, 0])
@@ -224,6 +226,53 @@ class TestComputeStats:
         s_aug = compute_stats(d_aug)
         np.testing.assert_allclose(s_new.var_total, s_aug.var_total, rtol=1e-12)
         np.testing.assert_allclose(s_new.var_pooled, s_aug.var_pooled, rtol=1e-12)
+
+
+class TestTiledMoments:
+    """compute_stats reads each group in the tiles of core._tile_shape; with
+    a small core._BLOCK the groups split into many column tiles and, when
+    tall, into row blocks, and the statistics must not change."""
+
+    @pytest.mark.parametrize("n, p", [(60, 50), (300, 12)])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_small_tiles_match_numpy(self, n, p, offset, monkeypatch):
+        # 64-element tiles: 30 rows of 50 columns make 4 row blocks by 7
+        # column tiles; 150 rows of 12 columns make 19 row blocks by 2.
+        monkeypatch.setattr(core, "_BLOCK", 64)
+        X, y = tiled_data(n, p, offset)
+        s = compute_stats(Dataset(X, y))
+        counts, floored, ref = numpy_stats(X, y, 1e-12)
+        assert (s.n, s.n1, s.n0) == counts
+        np.testing.assert_array_equal(s.floored, floored)
+        for field, want in ref.items():
+            got = getattr(s, field)
+            rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert rel.max() <= 1e-12, (field, rel.max())
+
+    def test_small_block_splits_groups_into_tiles(self, einsum_shapes, monkeypatch):
+        # One einsum per tile: each group of 150 x 12 is one tile at the
+        # default block, and 19 row blocks by 2 column tiles at 64 elements.
+        d = Dataset(*tiled_data(300, 12, 0.0))
+        compute_stats(d)
+        assert einsum_shapes == [(150, 12)] * 2
+        einsum_shapes.clear()
+        monkeypatch.setattr(core, "_BLOCK", 64)
+        compute_stats(d)
+        assert len(einsum_shapes) == 2 * 19 * 2
+        assert {a * b for a, b in einsum_shapes} <= set(range(1, 65))
+
+    def test_peak_memory_below_one_group(self):
+        # A group of 50 x 20000 is 8 MB: a whole-group copy puts the peak
+        # near 9 MB, while one 512 KB tile at a time keeps it near 3 MB.
+        d = Dataset(*tiled_data(100, 20000, 0.0))
+        compute_stats(d)
+        tracemalloc.start()
+        try:
+            compute_stats(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, peak
 
 
 class TestLogBGamma:

@@ -30,7 +30,7 @@ from vbda import core, evalharness, rcvb
 from vbda.evalharness import _fold_stats, _mcc_from_counts
 from vbda.simgen import derive_seed
 
-from conftest import make_balanced
+from conftest import make_balanced, numpy_stats, tiled_data
 
 
 class TestClassificationError:
@@ -235,7 +235,7 @@ class TestKFoldCV:
         # kfold_cv scores each fold's rows in place inside d.X; with tiles of
         # 8 rows by 8 columns, its counts must equal predict on a copy of the
         # rows.
-        monkeypatch.setattr(rcvb, "_BLOCK", 64)
+        monkeypatch.setattr(core, "_BLOCK", 64)
         d = make_balanced(40, 500, seed=2, shift=0.6, k=40)
         h = Hyperparameters()
         want = []
@@ -278,21 +278,20 @@ def _per_fold_refit_cv(d, k, reps=1, model="vlda", seed=0, gamma_true=None,
     return CVReport(model=model, k=k, reps=tuple(reports))
 
 
-def _numpy_stats(X, y, floor):
-    """((n, n1, n0), floored, {field: value}): the seven statistics of
-    ``VariableStats`` by plain numpy mean and var over each row set, floored
-    and flagged as documented."""
-    X1, X0 = X[y == 1], X[y == 0]
-    n, n1, n0 = len(X), len(X1), len(X0)
-    var1, var0 = X1.var(axis=0), X0.var(axis=0)
-    raw = dict(mu_hat=X.mean(axis=0), mu1_hat=X1.mean(axis=0), mu0_hat=X0.mean(axis=0),
-               var_total=X.var(axis=0), var_pooled=(n1 * var1 + n0 * var0) / n,
-               var1=var1, var0=var0)
-    variances = ("var_total", "var_pooled", "var1", "var0")
-    floored = np.logical_or.reduce([raw[f] < floor for f in variances])
-    for f in variances:
-        raw[f] = np.maximum(raw[f], floor)
-    return (n, n1, n0), floored, raw
+def _assert_fold_stats_match_numpy(X, y, k, seed):
+    """Every fold of ``_fold_stats`` against ``numpy_stats`` on its training
+    rows: equal counts and flags, values within 1e-12 relative to
+    max(1, |value|)."""
+    folds = stratified_folds(y, k, np.random.default_rng(seed))
+    for fold, s in enumerate(_fold_stats(X, y, folds, k, 1e-12)):
+        train = folds != fold
+        counts, floored, ref = numpy_stats(X[train], y[train], 1e-12)
+        assert (s.n, s.n1, s.n0) == counts
+        np.testing.assert_array_equal(s.floored, floored)
+        for field, want in ref.items():
+            got = getattr(s, field)
+            rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert rel.max() <= 1e-12, (field, rel.max())
 
 
 def _cv_data(degenerate: bool) -> Dataset:
@@ -328,7 +327,7 @@ class TestFoldMoments:
         folds = stratified_folds(d.y, k, np.random.default_rng(3))
         for fold, s in enumerate(_fold_stats(d.X, d.y, folds, k, 1e-12)):
             train = folds != fold
-            _, floored, _ = _numpy_stats(d.X[train], d.y[train], 1e-12)
+            _, floored, _ = numpy_stats(d.X[train], d.y[train], 1e-12)
             np.testing.assert_array_equal(s.floored, floored)
             assert s.floored[5] and s.floored[6] and not s.floored[0]
 
@@ -342,9 +341,9 @@ class TestFoldMoments:
         original_build = evalharness._stats_from_moments
         original_init = Dataset.__post_init__
 
-        def counting_moments(X, idx, center):
-            rows.append(len(idx))
-            return original_moments(X, idx, center)
+        def counting_moments(X, cells, centers):
+            rows.extend(len(idx) for idx, _ in cells)
+            return original_moments(X, cells, centers)
 
         def counting_build(*args):
             builds.append(1)
@@ -380,16 +379,29 @@ class TestFoldMoments:
         X = offset + rng.standard_normal((100, 2000))
         X[y == 1, :20] += 1.5
         X[y == 1, 20:40] *= 2.0
-        folds = stratified_folds(y, 5, np.random.default_rng(5))
-        for fold, s in enumerate(_fold_stats(X, y, folds, 5, 1e-12)):
-            train = folds != fold
-            counts, floored, ref = _numpy_stats(X[train], y[train], 1e-12)
-            assert (s.n, s.n1, s.n0) == counts
-            np.testing.assert_array_equal(s.floored, floored)
-            for field, want in ref.items():
-                got = getattr(s, field)
-                rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
-                assert rel.max() <= 1e-12, (field, rel.max())
+        _assert_fold_stats_match_numpy(X, y, 5, seed=5)
+
+    @pytest.mark.parametrize("n, p, k", [(60, 50, 5), (60, 50, 60), (300, 12, 2)])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_small_tiles_match_numpy(self, n, p, k, offset, monkeypatch):
+        # With 64-element tiles every cell spans several column tiles; k = n
+        # makes one-row cells (leave-one-out), and at 300 x 12 with k = 2
+        # each cell of 75 rows spans 10 row blocks of 8 rows.
+        monkeypatch.setattr(core, "_BLOCK", 64)
+        _assert_fold_stats_match_numpy(*tiled_data(n, p, offset), k, seed=5)
+
+    def test_small_block_splits_cells_into_tiles(self, einsum_shapes, monkeypatch):
+        # One einsum per tile: 4 cells of 75 x 12 are one tile each at the
+        # default block, and 10 row blocks by 2 column tiles at 64 elements.
+        X, y = tiled_data(300, 12, 0.0)
+        folds = stratified_folds(y, 2, np.random.default_rng(5))
+        list(_fold_stats(X, y, folds, 2, 1e-12))
+        assert einsum_shapes == [(75, 12)] * 4
+        einsum_shapes.clear()
+        monkeypatch.setattr(core, "_BLOCK", 64)
+        list(_fold_stats(X, y, folds, 2, 1e-12))
+        assert len(einsum_shapes) == 4 * 10 * 2
+        assert {a * b for a, b in einsum_shapes} <= set(range(1, 65))
 
 
 def test_negative_seed_rejected():

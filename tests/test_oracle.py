@@ -25,11 +25,10 @@ from vbda import (
     lambda_bayes_qda,
     lambda_lrt_lda,
     lambda_lrt_qda,
-    numeric_lambda_lrt,
-    numeric_mle_check,
 )
 
 from conftest import make_balanced
+from numeric_mle import numeric_lambda_lrt, numeric_mle_check
 
 X_HAND = np.array([[1.0], [2.0], [3.0], [4.0], [6.0], [8.0]])
 Y_HAND = np.array([1, 1, 1, 0, 0, 0])

@@ -24,7 +24,7 @@ from vbda import (
     predict_vqda,
     select_variables,
 )
-from vbda import rcvb
+from vbda import core
 
 from conftest import log_gaussian_density, make_balanced
 
@@ -284,8 +284,8 @@ class TestPredictVqda:
         loglik_diff = (log_gaussian_density(x, s.mu1_hat, s.var1)
                        - log_gaussian_density(x, s.mu0_hat, s.var0))
         want = math.log(s.n1 / s.n0) + f.w.sum() * (g1 - g0) + 0.5 * (loglik_diff @ f.w)
-        for block in (rcvb._BLOCK, SMALL_BLOCK):
-            monkeypatch.setattr(rcvb, "_BLOCK", block)
+        for block in (core._BLOCK, SMALL_BLOCK):
+            monkeypatch.setattr(core, "_BLOCK", block)
             got = predict_vqda(f, x).score
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
@@ -400,13 +400,33 @@ def _rel_err(got, want) -> float:
 
 
 class TestBlockedScorer:
-    """predict works through the rows in tiles of at most rcvb._BLOCK
+    """predict works through the rows in tiles of at most core._BLOCK
     elements; shrinking the tiles must not change what it computes."""
+
+    def test_small_block_splits_into_tiles(self, monkeypatch):
+        # Each tile is checked once for non-finite values: 40 x 500 new rows
+        # make 3 row blocks by 32 column blocks under SMALL_BLOCK, and one
+        # tile at the default block.
+        f, x = _wide_fit(0.0)
+        calls = []
+        isfinite = np.isfinite
+
+        def counting_isfinite(tile):
+            calls.append(tile.shape)
+            return isfinite(tile)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        predict_vlda(f, x)
+        assert calls == [(40, 500)]
+        calls.clear()
+        monkeypatch.setattr(core, "_BLOCK", SMALL_BLOCK)
+        predict_vlda(f, x)
+        assert len(calls) == 3 * 32 and calls[0] == (16, 16) and calls[-1] == (8, 4)
 
     @pytest.mark.parametrize("block", [SMALL_BLOCK, 16])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     def test_vlda_matches_whole_matrix_form(self, offset, block, monkeypatch):
-        monkeypatch.setattr(rcvb, "_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK", block)
         f, x = _wide_fit(offset)
         s, h = f.stats, f.hyper
         want = math.log((s.n1 + h.a_y) / (s.n0 + h.b_y)) + _whole_matrix_lda(f, x)
@@ -417,7 +437,7 @@ class TestBlockedScorer:
     def test_coupled_matches_whole_matrix_form(self, offset, block, monkeypatch):
         # At the returned labels, each score is the batch log-odds term plus
         # the whole-matrix discriminant.
-        monkeypatch.setattr(rcvb, "_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK", block)
         f, x = _wide_fit(offset)
         s, h = f.stats, f.hyper
         p = predict_coupled_vlda(f, x)
@@ -430,7 +450,7 @@ class TestBlockedScorer:
     @pytest.mark.parametrize("rule", [predict_vlda, predict_vqda, predict_coupled_vlda])
     @pytest.mark.parametrize("where, bad", [((0, 0), np.inf), ((-1, -1), np.nan)])
     def test_non_finite_rejected_in_any_block(self, rule, where, bad, monkeypatch):
-        monkeypatch.setattr(rcvb, "_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(core, "_BLOCK", SMALL_BLOCK)
         f, x = _wide_fit(0.0)
         x[where] = bad
         with pytest.raises(DataValidationError, match="new observations contain non-finite values"):
@@ -440,7 +460,7 @@ class TestBlockedScorer:
     def test_row_blocks_match_whole_matrix_form(self, m, monkeypatch):
         # 300 rows of 500 columns make 19 row blocks; a single row one tile
         # row of 256 columns, then a last one of 244.
-        monkeypatch.setattr(rcvb, "_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(core, "_BLOCK", SMALL_BLOCK)
         f, _ = _wide_fit(1e3)
         x = 1e3 + np.random.default_rng(4).standard_normal((m, 500))
         s, h = f.stats, f.hyper
@@ -449,7 +469,7 @@ class TestBlockedScorer:
 
     def test_dataset_values_checked_when_scored(self, monkeypatch):
         # Dataset.X is a read-only view; the caller's array stays writable.
-        monkeypatch.setattr(rcvb, "_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(core, "_BLOCK", SMALL_BLOCK)
         f, x = _wide_fit(0.0)
         d = Dataset(x)
         x[-1, -1] = np.nan
@@ -458,7 +478,7 @@ class TestBlockedScorer:
 
     @pytest.mark.parametrize("model, coupled", [("vlda", False), ("vqda", False), ("vlda", True)])
     def test_dataset_and_array_score_alike(self, model, coupled, monkeypatch):
-        monkeypatch.setattr(rcvb, "_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(core, "_BLOCK", SMALL_BLOCK)
         f, x = _wide_fit(1e3, model)
         a = predict(f, x, coupled=coupled)
         b = predict(f, Dataset(x), coupled=coupled)
