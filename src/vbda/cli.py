@@ -279,7 +279,6 @@ def cmd_oracle(args) -> int:
     write_json(
         {
             "model": args.model,
-            "gamma_marginals": ep.gamma_marginals.tolist(),
             "y_marginal": float(ep.y_marginal),
             "log_marginal": float(ep.log_marginal),
             "configurations": int(ep.gammas.shape[0]),

@@ -18,8 +18,8 @@ Conventions used throughout:
   accurate at any column offset and group gap, and the null model by the law
   of total variance.  Moments add over disjoint rows, so cross-validation
   builds a training fold's statistics from group totals minus held-out cells.
-  ``_moments`` reads every cell in cache-sized tiles, shaped by the rule
-  that scoring uses too (``_tile_shape``), so no group is copied whole.
+  ``_moments`` reads every cell through ``_tiles``, the walker that scoring
+  uses too, one cache-sized tile at a time, and rejects non-finite data.
 * Variances are floored at ``variance_floor`` so constant columns degrade
   gracefully instead of producing infinities; a per-variable flag records
   where flooring happened.
@@ -274,36 +274,48 @@ def _tile_shape(m: int, p: int) -> tuple[int, int]:
     return max(1, min(m, _BLOCK // width)), width
 
 
+def _tiles(X: np.ndarray, rows=None):
+    """Yield (part, cols, tile) for each ``_tile_shape`` tile of X, or of
+    X[rows]: ``part`` slices the m rows taken, ``cols`` the columns, and
+    ``tile`` is a writable contiguous copy.  Contiguous rows share one buffer;
+    picked rows are gathered anew, so free each tile before the next."""
+    m, p = (len(X) if rows is None else len(rows)), X.shape[1]
+    height, width = _tile_shape(m, p)
+    buf = np.empty(height * width) if rows is None else None
+    for top in range(0, m, height):
+        part = slice(top, top + height)
+        for start in range(0, p, width):
+            cols = slice(start, start + width)
+            if rows is None:
+                block = X[part, cols]
+                tile = buf[: block.size].reshape(block.shape)
+                tile[...] = block
+                yield part, cols, tile
+            else:
+                yield part, cols, X[rows[part], cols]
+
+
 def _moments(X: np.ndarray, cells, centers: np.ndarray) -> list:
     """(count, S, Q) of each cell (rows, g): the row count of X[rows], and
     the column sums S and column sums of squares Q of X[rows] - centers[g].
 
-    Each cell is read in tiles of ``_tile_shape``: every tile is gathered,
-    centred in place and summed into its columns of S and Q, so no array
-    larger than one tile is made.  A cell of at most one row block is summed
-    as one pass over its rows; taller cells add their row blocks in order.
+    Each cell is one pass over its ``_tiles``, each tile centred in place and
+    added into its columns of S and Q.  Non-finite data (or an overflowing
+    sum) always makes some Q non-finite, so one check of Q per call suffices.
     """
-    p = X.shape[1]
-    S_all, Q_all = np.zeros((2, len(cells), p))
+    S_all, Q_all = np.zeros((2, len(cells), X.shape[1]))
     moments = []
     for (rows, g), S, Q in zip(cells, S_all, Q_all):
         moments.append((len(rows), S, Q))
-        height, width = _tile_shape(len(rows), p)
-        for top in range(0, len(rows), height):
-            part = rows[top:top + height]
-            for start in range(0, p, width):
-                sl = slice(start, start + width)
-                tile = X[part, sl]
-                tile -= centers[g, sl]
-                if top:
-                    S[sl] += tile.sum(axis=0)
-                    Q[sl] += np.einsum("ij,ij->j", tile, tile)
-                else:
-                    tile.sum(axis=0, out=S[sl])
-                    np.einsum("ij,ij->j", tile, tile, out=Q[sl])
-                # Free the tile before the next gather, so that its memory is
-                # reused rather than fresh pages faulted in for every tile.
-                del tile
+        for _, cols, tile in _tiles(X, rows):
+            tile -= centers[g, cols]
+            S[cols] += tile.sum(axis=0)
+            Q[cols] += np.einsum("ij,ij->j", tile, tile)
+            # Free the tile before the next gather, so that its memory is
+            # reused rather than fresh pages faulted in for every tile.
+            del tile
+    if not np.isfinite(Q_all.max()):  # the max of Q propagates NaN
+        raise DataValidationError("training data contain non-finite values")
     return moments
 
 

@@ -12,8 +12,8 @@ folds simply alternate between the groups.  It never copies a training
 fold: one pass per repetition takes the group moments of every (fold, group)
 cell, and each training fold's statistics are built from the totals minus
 its held-out cells (see ``core``).  Both the moments and the scores of the
-held-out rows are taken where the rows lie in the data matrix, a cache-sized
-tile of rows and columns at a time.
+held-out rows are one pass over ``core._tiles``, which gathers each
+cache-sized tile of a cell's rows once, where they lie in the data matrix.
 
 ``consistency_experiment`` tracks the soft selection errors
 e0 = sum of w over noise variables, e1 = sum of (1 - w) over signal
@@ -159,29 +159,23 @@ def _fold_stats(X: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int,
     """Yield the training statistics of folds 0..k-1 in turn, each from the
     rows outside that fold, without copying those rows.
 
-    One ``core._moments`` call takes the moments of every nonempty (fold,
-    group) cell about that group's full-data column means.  It reads the
-    cells in place, one cache-sized tile of rows and columns at a time, so
-    no copy larger than a tile is made.  A training fold's group moments
-    are the group totals minus its held-out cell, and
+    One stable sort of the key 2 * fold + group lists the rows of all 2k
+    (fold, group) cells in row order, empty cells included.  One
+    ``core._moments`` call takes every cell's moments about its group's
+    full-data column means.  A group's totals are the sum of its cells, a
+    training fold's group moments the totals minus its held-out cell, and
     ``core._stats_from_moments`` turns them into statistics, raising at the
     first fold whose training rows are too few.
     """
     centers = _group_centers(X, y)
-    cells = {}  # (fold, group) -> (rows, group) of the held-out cell
-    for fold in range(k):
-        for g in (0, 1):
-            idx = np.flatnonzero((folds == fold) & (y == g))
-            if idx.size:
-                cells[fold, g] = idx, g
-    held = dict(zip(cells, _moments(X, list(cells.values()), centers)))
-    totals = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
-    for (_, g), cell in held.items():
-        totals[g] = tuple(t + v for t, v in zip(totals[g], cell))
+    key = 2 * folds + y
+    order = np.argsort(key, kind="stable")
+    cells = np.split(order, np.cumsum(np.bincount(key, minlength=2 * k))[:-1])
+    held = _moments(X, [(rows, c % 2) for c, rows in enumerate(cells)], centers)
+    totals = [[sum(moment) for moment in zip(*held[g::2])] for g in (0, 1)]
     for fold in range(k):
         yield _stats_from_moments(centers, *(
-            tuple(t - v for t, v in zip(totals[g], held.get((fold, g), (0, 0.0, 0.0))))
-            for g in (0, 1)
+            [t - v for t, v in zip(totals[g], held[2 * fold + g])] for g in (0, 1)
         ), variance_floor)
 
 

@@ -24,9 +24,10 @@ Classification plugs the converged w into a naive-Bayes discriminant,
 downweighting each variable by its selection probability.  One private
 scorer serves every rule, the public ``predict`` functions and
 cross-validation alike: it takes the per-variable coefficients once from
-the fit and works through the new rows in cache-sized tiles of rows and
-columns, centring each tile at the group midpoint in one small reused
-buffer, so scoring m new rows never allocates an m-by-p array.
+the fit and makes one pass over the new rows' cache-sized tiles
+(``core._tiles``, shared with the statistics), centring each tile at the
+group midpoint in place, so scoring m new rows never allocates an m-by-p
+array and a held-out row of cross-validation is copied once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .core import (
     Dataset,
     Hyperparameters,
     VariableStats,
-    _tile_shape,
+    _tiles,
     compute_stats,
     expit,
     lambda_lrt_lda,
@@ -159,7 +160,7 @@ def _batch_fixed_point(
     return x, cycles, delta
 
 
-def _eta_offset(model: str, s: VariableStats, h: Hyperparameters) -> np.ndarray:
+def _eta_offset(model: str, s: VariableStats) -> np.ndarray:
     n, n1, n0 = s.n, s.n1, s.n0
     if model == "vlda":
         lam = lambda_lrt_lda(s, n)
@@ -183,7 +184,7 @@ def _fit(
 ) -> FitState:
     w, cycles, delta = _batch_fixed_point(
         np.full(stats.p, float(h.w_init)),
-        _eta_offset(model, stats, h),
+        _eta_offset(model, stats),
         h.a_gamma,
         log_b_gamma(stats.n, stats.p, h.r, h.kappa),
         h,
@@ -247,12 +248,11 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
         xc @ (d (A0 + A1)) + xc^2 @ (A0 - A1) + (d/2)^2 @ (A0 - A1)
         - (1/2) w^T log(var1 / var0),
 
-    which keeps its accuracy at any column offset.  The rows are taken in
-    tiles shaped by ``core._tile_shape``, the rule the statistics use too,
-    so tall inputs are split by rows as well.  Each tile is copied into one
-    reused buffer, checked for non-finite values, centred in place and its
-    matvec added into its rows' scores; for the quadratic rule it is then
-    squared in place for the second matvec.
+    which keeps its accuracy at any column offset.  The rows are one pass
+    over ``core._tiles``, the walker the statistics use too, so tall inputs
+    are split by rows as well.  Each tile is checked for non-finite values,
+    centred in place and its matvec added into its rows' scores; for the
+    quadratic rule it is then squared in place for the second matvec.
 
     ``x_new`` is a Dataset or array-like; its shape is checked at once.
     ``rows`` picks rows of x_new without copying the others;
@@ -276,23 +276,15 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
     else:
         linear, quadratic = w * diff / s.var_pooled, None
     m = X.shape[0] if rows is None else len(rows)
-    height, width = _tile_shape(m, f.p)
-    buf = np.empty(height * width)
     disc = np.zeros(m)
-    for top in range(0, m, height):
-        part = slice(top, top + height) if rows is None else rows[top:top + height]
-        out = disc[top:top + height]
-        for start in range(0, f.p, width):
-            sl = slice(start, start + width)
-            block = X[part, sl]
-            xc = buf[: block.size].reshape(block.shape)
-            xc[...] = block
-            if not np.isfinite(xc).all():
-                raise DataValidationError("new observations contain non-finite values")
-            xc -= center[sl]
-            out += xc @ linear[sl]
-            if quadratic is not None:
-                out += np.square(xc, out=xc) @ quadratic[sl]
+    for part, cols, xc in _tiles(X, rows):
+        if not np.isfinite(xc).all():
+            raise DataValidationError("new observations contain non-finite values")
+        xc -= center[cols]
+        disc[part] += xc @ linear[cols]
+        if quadratic is not None:
+            disc[part] += np.square(xc, out=xc) @ quadratic[cols]
+        del xc  # a gathered tile is freed before the next gather, as in _moments
 
     if rule == "vqda":
         disc += 0.25 * diff**2 @ quadratic - 0.5 * (w @ np.log(s.var1 / s.var0))

@@ -248,7 +248,7 @@ def test_criterion_7_cycles_scale_linearly_in_p():
         stats = compute_stats(dataset(p))
         kernels.append((
             np.full(p, h.w_init),
-            _eta_offset("vlda", stats, h),
+            _eta_offset("vlda", stats),
             h.a_gamma,
             log_b_gamma(n, p, h.r, h.kappa),
         ))

@@ -343,7 +343,13 @@ class TestOracle:
         assert rc == 0
         doc = read_json(out / "oracle.json")
         assert doc["configurations"] == 256
-        assert len(doc["gamma_marginals"]) == 8
+        # The marginals are written once, to oracle.tsv.
+        assert "gamma_marginals" not in doc
+        rows = read_tsv(out / "oracle.tsv")
+        assert [r["variable_id"] for r in rows] == [f"v{j + 1}" for j in range(8)]
+        d = vbda.load_csv(train, label_column="label")
+        ep = vbda.exact_posterior(d, np.zeros(8), vbda.Hyperparameters())
+        assert [float(r["marginal"]) for r in rows] == ep.gamma_marginals.tolist()
         assert 0.0 <= doc["y_marginal"] <= 1.0
         assert "256 configurations" in capsys.readouterr().out
 

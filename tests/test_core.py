@@ -275,6 +275,65 @@ class TestTiledMoments:
         assert peak < 5_000_000, peak
 
 
+class TestTiles:
+    """core._tiles is the one walk over a data matrix: the statistics and
+    the scorer both read their rows through it."""
+
+    ROWS = [None, np.array([0, 3, 4, 9, 17, 18, 25, 29, 30, 31, 38]),
+            np.array([7]), np.array([], dtype=np.intp)]
+
+    @pytest.mark.parametrize("block", [64, 16])
+    @pytest.mark.parametrize("rows", ROWS, ids=["all", "picked", "one", "none"])
+    def test_tiles_cover_every_entry_once(self, block, rows, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK", block)
+        X = np.arange(40.0 * 23).reshape(40, 23)
+        taken = X if rows is None else X[rows]
+        seen = np.zeros(taken.shape, dtype=int)
+        for part, cols, tile in core._tiles(X, rows):
+            assert 0 < tile.size <= block
+            assert tile.flags.c_contiguous and tile.flags.writeable
+            np.testing.assert_array_equal(tile, taken[part, cols])
+            seen[part, cols] += 1
+        np.testing.assert_array_equal(seen, 1)
+
+    @pytest.mark.parametrize("rows", ROWS[:2], ids=["all", "picked"])
+    def test_writing_a_tile_leaves_the_matrix_alone(self, rows, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK", 16)
+        X = np.arange(40.0 * 23).reshape(40, 23)
+        before = X.copy()
+        for source in (X, Dataset(X).X):
+            for _, _, tile in core._tiles(source, rows):
+                tile[...] = -1.0
+        np.testing.assert_array_equal(X, before)
+
+    def test_contiguous_rows_share_one_buffer(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK", 16)
+        X = np.arange(40.0 * 23).reshape(40, 23)
+        starts = [tile.__array_interface__["data"][0] for _, _, tile in core._tiles(X)]
+        assert len(starts) == 10 * 6 and len(set(starts)) == 1
+
+
+class TestNonFiniteTrainingData:
+    """Dataset.X is a read-only view of the caller's array, which stays
+    writable, so a value written there after the Dataset was built reaches
+    the statistics; every training path must reject it."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("train", [
+        compute_stats, vbda.fit_vlda, vbda.fit_vqda, lambda d: vbda.kfold_cv(d, k=5),
+    ], ids=["compute_stats", "fit_vlda", "fit_vqda", "kfold_cv"])
+    def test_rejected(self, train, bad, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(core, "_BLOCK", block)
+        X, y = tiled_data(60, 50, 0.0)
+        d = Dataset(X, y)
+        X[3, 2 if block is None else 47] = bad  # 47: in the last column tile
+        with pytest.raises(DataValidationError, match="^training data contain non-finite values$"):
+            train(d)
+
+
 class TestLogBGamma:
     def test_frozen_values(self):
         # 2 log 500 - log(101)/2 + 0.001 * 101 / log(101)^0.98

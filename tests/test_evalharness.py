@@ -390,6 +390,15 @@ class TestFoldMoments:
         monkeypatch.setattr(core, "_BLOCK", 64)
         _assert_fold_stats_match_numpy(*tiled_data(n, p, offset), k, seed=5)
 
+    def test_folds_without_a_group(self):
+        # 5 + 3 rows in 5 folds: the group-1 rows land in folds 0-2, so folds
+        # 3 and 4 hold no group-1 row and their cells are empty.
+        X, _ = tiled_data(8, 12, 0.0)
+        y = np.array([0] * 5 + [1] * 3)
+        folds = stratified_folds(y, 5, np.random.default_rng(5))
+        assert set(folds[y == 1]) == {0, 1, 2}
+        _assert_fold_stats_match_numpy(X, y, 5, seed=5)
+
     def test_small_block_splits_cells_into_tiles(self, einsum_shapes, monkeypatch):
         # One einsum per tile: 4 cells of 75 x 12 are one tile each at the
         # default block, and 10 row blocks by 2 column tiles at 64 elements.
