@@ -51,16 +51,16 @@ from .simgen import SimSetting, generate, setting_from_index
 __all__ = ["main", "build_parser"]
 
 _HYPER_FLAGS = {
-    # flag dest -> Hyperparameters field
-    "ay": "a_y",
-    "by": "b_y",
-    "agamma": "a_gamma",
-    "r": "r",
-    "kappa": "kappa",
-    "cw": "c_w",
-    "cy": "c_y",
-    "eps": "eps",
-    "max_cycles": "max_cycles",
+    # flag -> (Hyperparameters field, help); the field's default gives the type
+    "--ay": ("a_y", "label prior pseudo-count for group 1"),
+    "--by": ("b_y", "label prior pseudo-count for group 0"),
+    "--agamma": ("a_gamma", "selection prior numerator constant"),
+    "--r": ("r", "penalty exponent (< 1)"),
+    "--kappa": ("kappa", "penalty growth constant (> 0)"),
+    "--cw": ("c_w", "selection threshold on w"),
+    "--cy": ("c_y", "label threshold on y_tilde"),
+    "--eps": ("eps", "convergence tolerance on the squared w-step"),
+    "--max-cycles": ("max_cycles", "update-cycle cap"),
 }
 
 
@@ -75,24 +75,17 @@ def _version() -> str:
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("model hyperparameters")
-    g.add_argument("--ay", type=float, default=None, help="label prior pseudo-count for group 1")
-    g.add_argument("--by", type=float, default=None, help="label prior pseudo-count for group 0")
-    g.add_argument("--agamma", type=float, default=None, help="selection prior numerator constant")
-    g.add_argument("--r", type=float, default=None, help="penalty exponent (< 1)")
-    g.add_argument("--kappa", type=float, default=None, help="penalty growth constant (> 0)")
-    g.add_argument("--cw", type=float, default=None, help="selection threshold on w")
-    g.add_argument("--cy", type=float, default=None, help="label threshold on y_tilde")
-    g.add_argument("--eps", type=float, default=None, help="convergence tolerance on the squared w-step")
-    g.add_argument("--max-cycles", type=int, default=None, help="update-cycle cap")
+    for flag, (field, text) in _HYPER_FLAGS.items():
+        g.add_argument(flag, type=type(getattr(Hyperparameters, field)), default=None, help=text)
 
 
 def _hyper_from_args(args, base: Hyperparameters | None = None) -> Hyperparameters:
     base = base or Hyperparameters()
-    overrides = {
-        field: getattr(args, dest)
-        for dest, field in _HYPER_FLAGS.items()
-        if getattr(args, dest, None) is not None
-    }
+    overrides = {}
+    for flag, (field, _) in _HYPER_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
+        if value is not None:
+            overrides[field] = value
     return replace(base, **overrides) if overrides else base
 
 

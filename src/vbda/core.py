@@ -19,7 +19,8 @@ Conventions used throughout:
   of total variance.  Moments add over disjoint rows, so cross-validation
   builds a training fold's statistics from group totals minus held-out cells.
   ``_moments`` reads every cell through ``_tiles``, the walker that scoring
-  uses too, one cache-sized tile at a time, and rejects non-finite data.
+  uses too, one cache-sized tile at a time.  ``_group_centers`` rejects
+  non-finite data, and ``_moments`` finite values too large to square.
 * Variances are floored at ``variance_floor`` so constant columns degrade
   gracefully instead of producing infinities; a per-variable flag records
   where flooring happened.
@@ -253,9 +254,17 @@ class VariableStats:
 
 
 def _group_centers(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows 0 and 1: the column means of groups 0 and 1, from one product."""
+    """Rows 0 and 1: the column means of groups 0 and 1, from one product.
+    Raises DataValidationError if X holds a non-finite value."""
     onehot = np.stack([y == 0, y == 1]).astype(np.float64)
-    return (onehot @ X) / onehot.sum(axis=1)[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        centers = (onehot @ X) / onehot.sum(axis=1)[:, None]
+    # A NaN or inf cell makes its own group's center non-finite, so checking
+    # the centers finds every one.  Finite data can only overflow a column
+    # sum here; ``_moments`` reports that as values too large to square.
+    if not np.isfinite(centers).all() and not np.isfinite(X).all():
+        raise DataValidationError("training data contain non-finite values")
+    return centers
 
 
 # Group moments and new-row scores are taken in tiles of at most _BLOCK
@@ -300,8 +309,9 @@ def _moments(X: np.ndarray, cells, centers: np.ndarray) -> list:
     the column sums S and column sums of squares Q of X[rows] - centers[g].
 
     Each cell is one pass over its ``_tiles``, each tile centred in place and
-    added into its columns of S and Q.  Non-finite data (or an overflowing
-    sum) always makes some Q non-finite, so one check of Q per call suffices.
+    added into its columns of S and Q.  ``_group_centers`` has already
+    rejected non-finite data, so a non-finite Q means finite values whose
+    squares (or sums) overflow; one check of Q per call finds them.
     """
     S_all, Q_all = np.zeros((2, len(cells), X.shape[1]))
     moments = []
@@ -315,7 +325,7 @@ def _moments(X: np.ndarray, cells, centers: np.ndarray) -> list:
             # reused rather than fresh pages faulted in for every tile.
             del tile
     if not np.isfinite(Q_all.max()):  # the max of Q propagates NaN
-        raise DataValidationError("training data contain non-finite values")
+        raise DataValidationError("training data contain values too large to square")
     return moments
 
 

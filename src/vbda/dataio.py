@@ -46,10 +46,6 @@ __all__ = [
     "save_state",
     "load_state",
     "align_to_columns",
-    "selection_rows",
-    "prediction_rows",
-    "write_tsv",
-    "write_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -380,10 +376,10 @@ def align_to_columns(d: Dataset, columns: tuple[str, ...] | None) -> Dataset:
     return Dataset(d.X[:, order], d.y, columns=tuple(columns), label_name=d.label_name)
 
 
-def selection_rows(f: FitState, c_w: float | None = None) -> list[dict]:
+def selection_rows(f: FitState) -> list[dict]:
     """One record per variable: (variable_id, w, selected)."""
     selected = np.zeros(f.p, dtype=bool)
-    selected[select_variables(f, c_w)] = True
+    selected[select_variables(f)] = True
     names = _column_names(f.columns, f.p)
     return [
         {"variable_id": names[j], "w": float(f.w[j]), "selected": int(selected[j])}
@@ -391,16 +387,12 @@ def selection_rows(f: FitState, c_w: float | None = None) -> list[dict]:
     ]
 
 
-def prediction_rows(pred: Prediction, row_ids=None) -> list[dict]:
-    """One record per scored observation: (row_id, y_tilde, label)."""
-    m = pred.y_tilde.size
-    ids = row_ids if row_ids is not None else [f"r{i + 1}" for i in range(m)]
-    if len(ids) != m:
-        raise DataValidationError("row_ids length does not match predictions")
+def prediction_rows(pred: Prediction) -> list[dict]:
+    """One record per scored observation: (row_id r1, r2, ..., y_tilde, label)."""
     return [
-        {"row_id": str(ids[i]), "y_tilde": float(pred.y_tilde[i]),
+        {"row_id": f"r{i + 1}", "y_tilde": float(pred.y_tilde[i]),
          "label": int(pred.labels[i])}
-        for i in range(m)
+        for i in range(pred.y_tilde.size)
     ]
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "lambda_bayes_lda",
     "lambda_bayes_qda",
     "exact_posterior",
-    "ENUMERATION_MAX_P",
 ]
 
 ENUMERATION_MAX_P = 15

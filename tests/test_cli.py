@@ -423,3 +423,42 @@ class TestImportPath:
         proc = subprocess.run([sys.executable, "-c", code, src],
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == ""
+
+    # The package's 55 public names, sorted; each appears once.
+    PUBLIC = [
+        "COV_SPECS", "CVReport", "CapacityError", "ConsistencyCurve",
+        "ConsistencyResult", "CoreError", "DataValidationError", "Dataset",
+        "DomainError", "EvalReport", "ExactPosterior", "FitState",
+        "Hyperparameters", "MEAN_SPECS", "PipelineResult", "Prediction",
+        "PreprocessPipeline", "SimReplicate", "SimSetting", "StateVersionError",
+        "VariableStats", "align_to_columns", "apply_pipeline", "ar1_sample",
+        "classification_error", "compute_stats", "compute_stats_with_new",
+        "consistency_experiment", "derive_seed", "exact_posterior", "expit",
+        "fit_vlda", "fit_vqda", "generate", "kfold_cv", "lambda_bayes_lda",
+        "lambda_bayes_qda", "lambda_lrt_lda", "lambda_lrt_qda", "load_csv",
+        "load_state", "log_b_gamma", "mcc", "predict", "predict_coupled_vlda",
+        "predict_vlda", "predict_vqda", "save_csv", "save_state",
+        "select_variables", "selection_confusion", "setting_from_index",
+        "stratified_folds", "uniform_corr_sample", "xi",
+    ]
+
+    def test_public_surface(self):
+        src = str(Path(vbda.__file__).resolve().parents[1])
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import vbda; "
+            "star = {}; exec('from vbda import *', star); "
+            "from vbda.oracle import ENUMERATION_MAX_P; "
+            "from vbda.dataio import selection_rows, prediction_rows, write_tsv, write_json; "
+            "print(json.dumps({'all': vbda.__all__, "
+            "'unbound': [n for n in vbda.__all__ if not hasattr(vbda, n)], "
+            "'star': sorted(set(star) - {'__builtins__'}), "
+            "'vars': sorted(n for n in vars(vbda) if not n.startswith('__'))}))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, check=True)
+        doc = json.loads(proc.stdout)
+        assert sorted(doc["all"]) == self.PUBLIC  # so 55 names, none twice
+        assert doc["unbound"] == []
+        assert doc["star"] == self.PUBLIC
+        modules = ["core", "dataio", "evalharness", "oracle", "rcvb", "simgen"]
+        assert doc["vars"] == sorted(self.PUBLIC + modules)

@@ -313,17 +313,21 @@ class TestTiles:
         assert len(starts) == 10 * 6 and len(set(starts)) == 1
 
 
+TRAIN_PATHS = pytest.mark.parametrize("train", [
+    compute_stats, vbda.fit_vlda, vbda.fit_vqda, lambda d: vbda.kfold_cv(d, k=5),
+], ids=["compute_stats", "fit_vlda", "fit_vqda", "kfold_cv"])
+
+
+@pytest.mark.filterwarnings("error")
 class TestNonFiniteTrainingData:
     """Dataset.X is a read-only view of the caller's array, which stays
     writable, so a value written there after the Dataset was built reaches
-    the statistics; every training path must reject it."""
+    the statistics; every training path must reject it, and finite values
+    whose squares overflow, with its own error and no numpy warning first."""
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("train", [
-        compute_stats, vbda.fit_vlda, vbda.fit_vqda, lambda d: vbda.kfold_cv(d, k=5),
-    ], ids=["compute_stats", "fit_vlda", "fit_vqda", "kfold_cv"])
+    @TRAIN_PATHS
     def test_rejected(self, train, bad, block, monkeypatch):
         if block:
             monkeypatch.setattr(core, "_BLOCK", block)
@@ -332,6 +336,17 @@ class TestNonFiniteTrainingData:
         X[3, 2 if block is None else 47] = bad  # 47: in the last column tile
         with pytest.raises(DataValidationError, match="^training data contain non-finite values$"):
             train(d)
+
+    @pytest.mark.parametrize("column", [
+        lambda x: x * 1e160,  # the squares overflow
+        lambda x: np.full_like(x, 1.5e308),  # the column sums overflow too
+    ], ids=["squares", "sums"])
+    @TRAIN_PATHS
+    def test_too_large_to_square(self, train, column):
+        X, y = tiled_data(60, 50, 0.0)
+        X[:, 1] = column(X[:, 1])
+        with pytest.raises(DataValidationError, match="^training data contain values too large to square$"):
+            train(Dataset(X, y))
 
 
 class TestLogBGamma:

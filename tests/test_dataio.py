@@ -447,10 +447,6 @@ class TestReportRows:
         pred = predict(f, d.X[:3])
         rows = prediction_rows(pred)
         assert [r["row_id"] for r in rows] == ["r1", "r2", "r3"]
-        rows2 = prediction_rows(pred, row_ids=["a", "b", "c"])
-        assert rows2[1]["row_id"] == "b"
-        with pytest.raises(DataValidationError, match="row_ids length"):
-            prediction_rows(pred, row_ids=["only-one"])
 
     def test_write_tsv_full_precision(self, tmp_path):
         path = tmp_path / "t.tsv"
