@@ -8,6 +8,8 @@ diagonal discriminant rule.  An exact enumeration oracle, a simulation
 generator, evaluation harness, CSV/JSON I/O, and a CLI round out the package.
 """
 
+__version__ = "0.1.0"
+
 from . import core, dataio, evalharness, oracle, rcvb, simgen
 from .core import *
 from .dataio import *
@@ -15,8 +17,6 @@ from .evalharness import *
 from .oracle import *
 from .rcvb import *
 from .simgen import *
-
-__version__ = "0.1.0"
 
 __all__ = [
     *core.__all__,

@@ -25,6 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import __version__
 from .core import (
     CapacityError,
     DataValidationError,
@@ -64,15 +65,6 @@ _HYPER_FLAGS = {
 }
 
 
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("vbda")
-    except Exception:
-        return "unknown"
-
-
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("model hyperparameters")
     for flag, (field, text) in _HYPER_FLAGS.items():
@@ -100,7 +92,7 @@ def _write_metadata(args, seconds: float) -> None:
         "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
-        "version": _version(),
+        "version": __version__,
         "timings": {"seconds": seconds},
     }
     write_json(doc, os.path.join(args.out_dir, "metadata.json"))
@@ -287,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vbda",
         description="Variational discriminant analysis with variable selection.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, model=True):

@@ -46,7 +46,6 @@ __all__ = [
     "Hyperparameters",
     "VariableStats",
     "compute_stats",
-    "compute_stats_with_new",
     "log_b_gamma",
     "xi",
     "lambda_lrt_lda",
@@ -101,7 +100,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray | None = None
     columns: tuple[str, ...] | None = None
-    label_name: str = "label"
 
     def __post_init__(self):
         X = _as_matrix(self.X)
@@ -369,33 +367,6 @@ def compute_stats(d: Dataset, variance_floor: float = 1e-12) -> VariableStats:
     """
     d.validate_training()
     return _stats_of_groups(d.X, d.y, variance_floor)
-
-
-def compute_stats_with_new(
-    d: Dataset,
-    x_new: np.ndarray,
-    y_new: int,
-    variance_floor: float = 1e-12,
-) -> VariableStats:
-    """Exact MLEs over the training data augmented with one new labeled point.
-
-    Denominators become n+1, n1+y_new, n0+1-y_new.  Used by the exact
-    enumeration oracle, where the statistics genuinely depend on the
-    hypothesised label of the new observation.
-    """
-    d.validate_training()
-    if y_new not in (0, 1):
-        raise DataValidationError(f"y_new must be 0 or 1, got {y_new!r}")
-    x_new = np.asarray(x_new, dtype=np.float64).reshape(-1)
-    if x_new.shape[0] != d.p:
-        raise DataValidationError(
-            f"x_new has {x_new.shape[0]} entries, expected p={d.p}"
-        )
-    if not np.isfinite(x_new).all():
-        raise DataValidationError("x_new contains non-finite values")
-    X_aug = np.vstack([d.X, x_new])
-    y_aug = np.concatenate([d.y, [y_new]]).astype(np.int8)
-    return _stats_of_groups(X_aug, y_aug, variance_floor)
 
 
 def log_b_gamma(n: int, p: int, r: float, kappa: float) -> float:

@@ -1,17 +1,10 @@
-"""CSV ingestion, preprocessing transforms, and fit-state persistence.
+"""CSV ingestion and fit-state persistence.
 
 CSV files carry a mandatory header row and an optional 0/1 label column.
 A cell is accepted exactly when Python ``float()`` parses it (features must
 also be finite).  Each row is converted with one numpy cast; a row that fails
 is rescanned cell by cell, so parse failures report the offending row and
 column (header is row 1).
-
-``PreprocessPipeline`` chains the transforms used to clean expression-style
-matrices: a log2(1+x) shift, three column filters (small IQR, low variance,
-within-group outliers), and standardization.  Filters run before
-standardization in the conventional order, but the declared order is what
-executes.  The pipeline result keeps an output-to-original column map so
-downstream selections can be reported against original variable names.
 
 Fit states persist as schema-versioned JSON with full float precision
 (repr round-trip), so save -> load -> save is byte-identical.
@@ -22,14 +15,12 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DataValidationError,
     Dataset,
-    DomainError,
     Hyperparameters,
     VariableStats,
     _column_names,
@@ -38,25 +29,14 @@ from .rcvb import FitState, Prediction, select_variables
 
 __all__ = [
     "StateVersionError",
-    "PreprocessPipeline",
-    "PipelineResult",
     "load_csv",
     "save_csv",
-    "apply_pipeline",
     "save_state",
     "load_state",
     "align_to_columns",
 ]
 
 SCHEMA_VERSION = 1
-
-_KNOWN_STEPS = {
-    "log2p1": 0,
-    "iqr_filter": 1,
-    "low_variance_filter": 1,
-    "iqr_outlier_filter": 1,
-    "standardize": 0,
-}
 
 
 class StateVersionError(DataValidationError):
@@ -155,10 +135,10 @@ def _scan_row(path, header, row_no, row, label_idx) -> list[float]:
     return values
 
 
-def save_csv(d: Dataset, path, label_column: str | None = None) -> None:
-    """Write a Dataset back to CSV (floats at full repr precision)."""
+def save_csv(d: Dataset, path, label_column: str = "label") -> None:
+    """Write a Dataset back to CSV (floats at full repr precision); labels,
+    if any, go first, in a column named ``label_column``."""
     columns = _column_names(d.columns, d.p)
-    label_name = label_column or d.label_name
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if d.y is None:
@@ -166,111 +146,9 @@ def save_csv(d: Dataset, path, label_column: str | None = None) -> None:
             for row in d.X:
                 writer.writerow([repr(float(v)) for v in row])
         else:
-            writer.writerow((label_name,) + tuple(columns))
+            writer.writerow((label_column,) + tuple(columns))
             for label, row in zip(d.y, d.X):
                 writer.writerow([int(label)] + [repr(float(v)) for v in row])
-
-
-@dataclass(frozen=True)
-class PreprocessPipeline:
-    """Ordered transform chain.  Each step is a (name,) or (name, parameter)
-    tuple; known names: log2p1, iqr_filter, low_variance_filter,
-    iqr_outlier_filter, standardize."""
-
-    steps: tuple = ()
-
-    def __post_init__(self):
-        norm = []
-        for step in self.steps:
-            if isinstance(step, str):
-                step = (step,)
-            step = tuple(step)
-            name = step[0]
-            if name not in _KNOWN_STEPS:
-                raise DataValidationError(f"unknown pipeline step {name!r}")
-            arity = _KNOWN_STEPS[name]
-            if len(step) - 1 != arity:
-                raise DataValidationError(
-                    f"step {name!r} takes {arity} parameter(s), got {len(step) - 1}"
-                )
-            if arity == 1:
-                value = float(step[1])
-                if not np.isfinite(value) or value < 0:
-                    raise DataValidationError(
-                        f"step {name!r} needs a nonnegative finite parameter, got {step[1]}"
-                    )
-                step = (name, value)
-            norm.append(step)
-        object.__setattr__(self, "steps", tuple(norm))
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    """Transformed dataset plus the output-to-original column map."""
-
-    dataset: Dataset
-    kept_indices: tuple[int, ...]  # position in the original matrix
-    column_map: tuple[str, ...]  # original name per output column
-
-
-def _iqr(X: np.ndarray) -> np.ndarray:
-    q75, q25 = np.percentile(X, [75, 25], axis=0)
-    return q75 - q25
-
-
-def apply_pipeline(pl: PreprocessPipeline, d: Dataset) -> PipelineResult:
-    """Run the declared transforms in order.  Raises if a filter removes every
-    column, if log2p1 meets a value <= -1, or if standardize meets a constant
-    column."""
-    X = np.array(d.X, dtype=float)
-    names = list(_column_names(d.columns, d.p))
-    kept = list(range(d.p))
-
-    def drop(keep_mask, step_name):
-        nonlocal X, names, kept
-        if not keep_mask.any():
-            raise DataValidationError(f"{step_name} removed every column")
-        X = X[:, keep_mask]
-        names = [nm for nm, k in zip(names, keep_mask) if k]
-        kept = [ix for ix, k in zip(kept, keep_mask) if k]
-
-    for step in pl.steps:
-        name = step[0]
-        if name == "log2p1":
-            if np.any(X <= -1.0):
-                i, j = np.argwhere(X <= -1.0)[0]
-                raise DomainError(
-                    f"log2p1 requires values > -1; row {i + 1}, column {names[j]!r} "
-                    f"has {X[i, j]}"
-                )
-            X = np.log2(1.0 + X)
-        elif name == "iqr_filter":
-            drop(_iqr(X) > step[1], "iqr_filter")
-        elif name == "low_variance_filter":
-            drop(np.var(X, axis=0, ddof=1) > step[1], "low_variance_filter")
-        elif name == "iqr_outlier_filter":
-            if d.y is None:
-                raise DataValidationError("iqr_outlier_filter needs a labeled dataset")
-            keep = np.ones(X.shape[1], dtype=bool)
-            for g in (0, 1):
-                rows = X[d.y == g]
-                med = np.median(rows, axis=0)
-                spread = step[1] * _iqr(rows)
-                keep &= np.all(np.abs(rows - med) <= spread, axis=0)
-            drop(keep, "iqr_outlier_filter")
-        else:  # standardize
-            mean = X.mean(axis=0)
-            sd = X.std(axis=0, ddof=1)
-            if np.any(sd == 0.0):
-                j = int(np.argmax(sd == 0.0))
-                raise DomainError(
-                    f"standardize met a constant column {names[j]!r}; "
-                    "filter it out first"
-                )
-            X = (X - mean) / sd
-
-    out = Dataset(X, d.y, columns=tuple(names), label_name=d.label_name)
-    return PipelineResult(dataset=out, kept_indices=tuple(kept), column_map=tuple(names))
 
 
 _STATS_ARRAYS = ("mu_hat", "mu1_hat", "mu0_hat", "var_total", "var_pooled", "var1", "var0")
@@ -373,7 +251,7 @@ def align_to_columns(d: Dataset, columns: tuple[str, ...] | None) -> Dataset:
     if extra:
         raise DataValidationError(f"input has unknown column {extra[0]!r}")
     order = [have[name] for name in columns]
-    return Dataset(d.X[:, order], d.y, columns=tuple(columns), label_name=d.label_name)
+    return Dataset(d.X[:, order], d.y, columns=tuple(columns))
 
 
 def selection_rows(f: FitState) -> list[dict]:

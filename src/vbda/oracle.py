@@ -24,7 +24,8 @@ from .core import (
     DataValidationError,
     Dataset,
     Hyperparameters,
-    compute_stats_with_new,
+    VariableStats,
+    _stats_of_groups,
     lambda_lrt_lda,
     lambda_lrt_qda,
     log_b_gamma,
@@ -41,6 +42,33 @@ __all__ = [
 ENUMERATION_MAX_P = 15
 
 
+def _stats_with_new(
+    d: Dataset,
+    x_new: np.ndarray,
+    y_new: int,
+    variance_floor: float = 1e-12,
+) -> VariableStats:
+    """Exact MLEs over the training data augmented with one new labeled point.
+
+    Denominators become n+1, n1+y_new, n0+1-y_new.  The enumeration below
+    needs them because the statistics genuinely depend on the hypothesised
+    label of the new observation.
+    """
+    d.validate_training()
+    if y_new not in (0, 1):
+        raise DataValidationError(f"y_new must be 0 or 1, got {y_new!r}")
+    x_new = np.asarray(x_new, dtype=np.float64).reshape(-1)
+    if x_new.shape[0] != d.p:
+        raise DataValidationError(
+            f"x_new has {x_new.shape[0]} entries, expected p={d.p}"
+        )
+    if not np.isfinite(x_new).all():
+        raise DataValidationError("x_new contains non-finite values")
+    X_aug = np.vstack([d.X, x_new])
+    y_aug = np.concatenate([d.y, [y_new]]).astype(np.int8)
+    return _stats_of_groups(X_aug, y_aug, variance_floor)
+
+
 def lambda_bayes_lda(d: Dataset, x_new, y_new: int, j: int | None = None):
     """Exact per-variable evidence statistic for the shared-variance model.
 
@@ -48,7 +76,7 @@ def lambda_bayes_lda(d: Dataset, x_new, y_new: int, j: int | None = None):
     statistics include (x_new, y_new) and n is the training count.  Returns
     the full length-p vector, or one entry if ``j`` is given.
     """
-    s = compute_stats_with_new(d, x_new, y_new)
+    s = _stats_with_new(d, x_new, y_new)
     lam = lambda_lrt_lda(s, d.n) - math.log(d.n + 1.0)
     return lam if j is None else float(lam[j])
 
@@ -65,7 +93,7 @@ def lambda_bayes_qda(d: Dataset, x_new, y_new: int, j: int | None = None):
     n0 + 1 - y_new) inside lambda_lrt.  Asymptotically this collapses to
     lambda_lrt - 2 log(n+1) + O(1/n1 + 1/n0).
     """
-    s = compute_stats_with_new(d, x_new, y_new)
+    s = _stats_with_new(d, x_new, y_new)
     n, n1, n0 = d.n, d.n1, d.n0
     m1 = n1 + y_new
     m0 = n0 + 1 - y_new

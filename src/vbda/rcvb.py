@@ -33,6 +33,7 @@ array and a held-out row of cross-validation is copied once.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,7 +253,8 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
     over ``core._tiles``, the walker the statistics use too, so tall inputs
     are split by rows as well.  Each tile is checked for non-finite values,
     centred in place and its matvec added into its rows' scores; for the
-    quadratic rule it is then squared in place for the second matvec.
+    quadratic rule it is then squared in place for the second matvec, and
+    a row whose squares overflow is rejected, as training rejects it.
 
     ``x_new`` is a Dataset or array-like; its shape is checked at once.
     ``rows`` picks rows of x_new without copying the others;
@@ -277,14 +279,19 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
         linear, quadratic = w * diff / s.var_pooled, None
     m = X.shape[0] if rows is None else len(rows)
     disc = np.zeros(m)
-    for part, cols, xc in _tiles(X, rows):
-        if not np.isfinite(xc).all():
-            raise DataValidationError("new observations contain non-finite values")
-        xc -= center[cols]
-        disc[part] += xc @ linear[cols]
-        if quadratic is not None:
-            disc[part] += np.square(xc, out=xc) @ quadratic[cols]
-        del xc  # a gathered tile is freed before the next gather, as in _moments
+    # A finite cell above about 1e154 overflows when the quadratic rule squares
+    # it; the scores are checked once after the loop, not every tile.
+    with np.errstate(over="ignore", invalid="ignore") if quadratic is not None else nullcontext():
+        for part, cols, xc in _tiles(X, rows):
+            if not np.isfinite(xc).all():
+                raise DataValidationError("new observations contain non-finite values")
+            xc -= center[cols]
+            disc[part] += xc @ linear[cols]
+            if quadratic is not None:
+                disc[part] += np.square(xc, out=xc) @ quadratic[cols]
+            del xc  # a gathered tile is freed before the next gather, as in _moments
+    if quadratic is not None and not np.isfinite(disc).all():
+        raise DataValidationError("new observations contain values too large to square")
 
     if rule == "vqda":
         disc += 0.25 * diff**2 @ quadratic - 0.5 * (w @ np.log(s.var1 / s.var0))

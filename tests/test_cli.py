@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,12 +98,12 @@ class TestFit:
         assert meta["config"]["cw"] == 0.9
         assert meta["command"] == "fit"
         assert meta["timings"]["seconds"] > 0
+        assert meta["version"] == vbda.__version__
 
     def test_custom_label_column(self, tmp_path):
         d = make_balanced(20, 3, seed=1, shift=2.0, k=1)
-        d = Dataset(d.X, d.y, label_name="grp")
         path = tmp_path / "t.csv"
-        save_csv(d, path)
+        save_csv(d, path, label_column="grp")
         rc = main(["fit", "--data", str(path), "--label", "grp",
                    "--out-dir", str(tmp_path / "fit")])
         assert rc == 0
@@ -408,7 +409,7 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
-        assert "vbda" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"vbda {vbda.__version__}\n"
 
 
 class TestImportPath:
@@ -424,15 +425,24 @@ class TestImportPath:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == ""
 
-    # The package's 55 public names, sorted; each appears once.
+    def test_version_stated_once(self):
+        # pyproject.toml takes the project version from vbda.__version__.
+        from setuptools.config.pyprojecttoml import read_configuration
+
+        pyproject = Path(vbda.__file__).resolve().parents[2] / "pyproject.toml"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
+            conf = read_configuration(pyproject, expand=True)
+        assert conf["project"]["version"] == vbda.__version__
+
+    # The package's 51 public names, sorted; each appears once.
     PUBLIC = [
         "COV_SPECS", "CVReport", "CapacityError", "ConsistencyCurve",
         "ConsistencyResult", "CoreError", "DataValidationError", "Dataset",
         "DomainError", "EvalReport", "ExactPosterior", "FitState",
-        "Hyperparameters", "MEAN_SPECS", "PipelineResult", "Prediction",
-        "PreprocessPipeline", "SimReplicate", "SimSetting", "StateVersionError",
-        "VariableStats", "align_to_columns", "apply_pipeline", "ar1_sample",
-        "classification_error", "compute_stats", "compute_stats_with_new",
+        "Hyperparameters", "MEAN_SPECS", "Prediction", "SimReplicate",
+        "SimSetting", "StateVersionError", "VariableStats", "align_to_columns",
+        "ar1_sample", "classification_error", "compute_stats",
         "consistency_experiment", "derive_seed", "exact_posterior", "expit",
         "fit_vlda", "fit_vqda", "generate", "kfold_cv", "lambda_bayes_lda",
         "lambda_bayes_qda", "lambda_lrt_lda", "lambda_lrt_qda", "load_csv",
@@ -457,7 +467,7 @@ class TestImportPath:
         proc = subprocess.run([sys.executable, "-c", code, src],
                               capture_output=True, text=True, check=True)
         doc = json.loads(proc.stdout)
-        assert sorted(doc["all"]) == self.PUBLIC  # so 55 names, none twice
+        assert sorted(doc["all"]) == self.PUBLIC  # so 51 names, none twice
         assert doc["unbound"] == []
         assert doc["star"] == self.PUBLIC
         modules = ["core", "dataio", "evalharness", "oracle", "rcvb", "simgen"]

@@ -26,7 +26,6 @@ from vbda import (
     DomainError,
     Hyperparameters,
     compute_stats,
-    compute_stats_with_new,
     expit,
     lambda_lrt_lda,
     lambda_lrt_qda,
@@ -34,6 +33,7 @@ from vbda import (
     xi,
 )
 from vbda import core
+from vbda.oracle import _stats_with_new
 
 from conftest import log_gaussian_density, numpy_stats, tiled_data
 
@@ -85,6 +85,10 @@ class TestDataset:
             d.X[0, 0] = 1.0
         with pytest.raises(ValueError):
             f.w[0] = 1.0
+
+    def test_fields(self):
+        # Labels are named only when written: save_csv(..., label_column=...).
+        assert tuple(Dataset.__dataclass_fields__) == ("X", "y", "columns")
 
     def test_rejects_nonfinite(self):
         X = X_HAND.copy()
@@ -159,7 +163,7 @@ class TestComputeStats:
         assert not s.floored[0]
 
     def test_with_new_hand_example(self):
-        s = compute_stats_with_new(hand_dataset(), np.array([5.0]), 1)
+        s = _stats_with_new(hand_dataset(), np.array([5.0]), 1)
         assert s.mu1_hat[0] == pytest.approx(11.0 / 4.0, rel=1e-15)
         assert s.mu0_hat[0] == pytest.approx(6.0, rel=1e-15)
         assert s.var_total[0] == pytest.approx(244.0 / 49.0, rel=1e-14)
@@ -169,7 +173,7 @@ class TestComputeStats:
         assert (s.n, s.n1, s.n0) == (7, 4, 3)
 
     def test_with_new_label_zero_counts(self):
-        s = compute_stats_with_new(hand_dataset(), np.array([5.0]), 0)
+        s = _stats_with_new(hand_dataset(), np.array([5.0]), 0)
         assert (s.n, s.n1, s.n0) == (7, 3, 4)
         assert s.mu1_hat[0] == pytest.approx(2.0, rel=1e-15)
 
@@ -219,7 +223,7 @@ class TestComputeStats:
         col, y = col_y
         d = Dataset(col[:, None], y)
         x_new = float(col.mean())
-        s_new = compute_stats_with_new(d, np.array([x_new]), y_new)
+        s_new = _stats_with_new(d, np.array([x_new]), y_new)
         d_aug = Dataset(
             np.append(col, x_new)[:, None], np.append(y, y_new)
         )
@@ -444,12 +448,12 @@ class TestLambdaStatistics:
         )
 
     def test_with_new_lda_hand_value(self):
-        s = compute_stats_with_new(hand_dataset(), np.array([5.0]), 1)
+        s = _stats_with_new(hand_dataset(), np.array([5.0]), 1)
         # multiplier stays n+1 with n the training count: 7 * log(976/469)
         assert lambda_lrt_lda(s, 6)[0] == pytest.approx(5.130018725767692, rel=1e-13)
 
     def test_with_new_qda_hand_value(self):
-        s = compute_stats_with_new(hand_dataset(), np.array([5.0]), 1)
+        s = _stats_with_new(hand_dataset(), np.array([5.0]), 1)
         lam = lambda_lrt_qda(s, 6, s.n1, s.n0)[0]
         assert lam == pytest.approx(5.163910374244318, rel=1e-13)
 
@@ -488,8 +492,8 @@ class TestLambdaStatistics:
         x_new = float(np.median(col)) + 0.25
         d1 = Dataset(col[:, None], y)
         d2 = Dataset((c * col)[:, None], y)
-        s1 = compute_stats_with_new(d1, np.array([x_new]), y_new)
-        s2 = compute_stats_with_new(d2, np.array([c * x_new]), y_new)
+        s1 = _stats_with_new(d1, np.array([x_new]), y_new)
+        s2 = _stats_with_new(d2, np.array([c * x_new]), y_new)
         if s1.floored[0] or s2.floored[0]:
             return
         n = y.size

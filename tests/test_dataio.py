@@ -1,4 +1,4 @@
-"""CSV parsing and errors, pipeline transforms, fit-state persistence."""
+"""CSV parsing and errors, fit-state persistence, report rows."""
 
 import json
 
@@ -8,12 +8,9 @@ import pytest
 from vbda import (
     DataValidationError,
     Dataset,
-    DomainError,
     Hyperparameters,
-    PreprocessPipeline,
     StateVersionError,
     align_to_columns,
-    apply_pipeline,
     fit_vlda,
     load_csv,
     load_state,
@@ -166,145 +163,6 @@ class TestLoadCsv:
         assert crlf.columns == lf.columns
         np.testing.assert_array_equal(crlf.y, lf.y)
         np.testing.assert_array_equal(crlf.X, lf.X)
-
-
-class TestPipelineValidation:
-    def test_string_steps_normalized(self):
-        pl = PreprocessPipeline(("log2p1", "standardize"))
-        assert pl.steps == (("log2p1",), ("standardize",))
-
-    def test_parameter_coerced_to_float(self):
-        pl = PreprocessPipeline((("iqr_filter", 1),))
-        assert pl.steps == (("iqr_filter", 1.0),)
-
-    @pytest.mark.parametrize(
-        "steps",
-        [
-            (("median_polish",),),
-            (("iqr_filter",),),  # missing parameter
-            (("log2p1", 2.0),),  # takes none
-            (("low_variance_filter", -0.1),),
-            (("iqr_outlier_filter", float("nan")),),
-        ],
-    )
-    def test_bad_steps_rejected(self, steps):
-        with pytest.raises(DataValidationError):
-            PreprocessPipeline(steps)
-
-
-class TestApplyPipeline:
-    def test_empty_pipeline_is_identity(self):
-        d = make_balanced(10, 3, seed=0)
-        res = apply_pipeline(PreprocessPipeline(), d)
-        np.testing.assert_array_equal(res.dataset.X, d.X)
-        assert res.kept_indices == (0, 1, 2)
-
-    def test_log2p1_values(self):
-        d = Dataset(np.array([[0.0, 1.0, 3.0], [7.0, 15.0, 0.0]]))
-        res = apply_pipeline(PreprocessPipeline(("log2p1",)), d)
-        np.testing.assert_allclose(
-            res.dataset.X, [[0.0, 1.0, 2.0], [3.0, 4.0, 0.0]], rtol=1e-15
-        )
-
-    def test_log2p1_domain_error_names_cell(self):
-        d = Dataset(np.array([[0.0, -1.5]]), columns=("a", "b"))
-        with pytest.raises(DomainError, match="row 1, column 'b'"):
-            apply_pipeline(PreprocessPipeline(("log2p1",)), d)
-
-    def test_iqr_filter_drops_narrow_columns(self):
-        X = np.column_stack([np.arange(10.0), np.full(10, 5.0), np.arange(10.0) * 3])
-        d = Dataset(X, columns=("wide", "flat", "wider"))
-        res = apply_pipeline(PreprocessPipeline((("iqr_filter", 1.0),)), d)
-        assert res.column_map == ("wide", "wider")
-        assert res.kept_indices == (0, 2)
-        np.testing.assert_array_equal(res.dataset.X, X[:, [0, 2]])
-
-    def test_iqr_filter_threshold_is_strict(self):
-        # column IQR exactly t must be dropped (kept only when IQR > t)
-        X = np.column_stack([np.arange(10.0), np.arange(10.0)])
-        d = Dataset(X, columns=("a", "b"))
-        iqr = 4.5
-        res = apply_pipeline(PreprocessPipeline((("iqr_filter", iqr - 0.01),)), d)
-        assert res.column_map == ("a", "b")
-        with pytest.raises(DataValidationError, match="removed every column"):
-            apply_pipeline(PreprocessPipeline((("iqr_filter", iqr),)), d)
-
-    def test_low_variance_filter(self):
-        rng = np.random.default_rng(0)
-        X = np.column_stack([rng.normal(0, 2.0, 60), rng.normal(0, 0.01, 60)])
-        d = Dataset(X, columns=("loud", "quiet"))
-        res = apply_pipeline(PreprocessPipeline((("low_variance_filter", 0.1),)), d)
-        assert res.column_map == ("loud",)
-
-    def test_outlier_filter_is_per_group(self):
-        rng = np.random.default_rng(1)
-        X = rng.uniform(-1, 1, size=(40, 2))
-        y = np.array([0, 1] * 20)
-        # group means differ wildly on column 0, but within-group it is tame
-        X[y == 1, 0] += 100.0
-        X[4, 1] = 50.0  # a genuine within-group outlier on column 1
-        d = Dataset(X, y, columns=("shifted", "spiky"))
-        res = apply_pipeline(PreprocessPipeline((("iqr_outlier_filter", 3.0),)), d)
-        assert res.column_map == ("shifted",)
-
-    def test_outlier_filter_needs_labels(self):
-        d = Dataset(np.zeros((4, 2)) + np.arange(4.0)[:, None])
-        with pytest.raises(DataValidationError, match="labeled"):
-            apply_pipeline(PreprocessPipeline((("iqr_outlier_filter", 3.0),)), d)
-
-    def test_standardize_moments(self):
-        d = make_balanced(30, 4, seed=2, shift=1.0, k=2)
-        res = apply_pipeline(PreprocessPipeline(("standardize",)), d)
-        X = res.dataset.X
-        np.testing.assert_allclose(X.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(X.std(axis=0, ddof=1), 1.0, rtol=1e-12)
-
-    def test_standardize_idempotent(self):
-        d = make_balanced(30, 4, seed=3, shift=1.0, k=2)
-        once = apply_pipeline(PreprocessPipeline(("standardize",)), d).dataset
-        twice = apply_pipeline(PreprocessPipeline(("standardize",)), once).dataset
-        np.testing.assert_allclose(twice.X, once.X, atol=1e-10)
-
-    def test_standardize_rejects_constant_column(self):
-        d = Dataset(np.column_stack([np.arange(5.0), np.full(5, 2.0)]),
-                    columns=("a", "flat"))
-        with pytest.raises(DomainError, match="constant column 'flat'"):
-            apply_pipeline(PreprocessPipeline(("standardize",)), d)
-
-    def test_declared_order_executes(self):
-        # standardizing first rescales every column, so the IQR filter sees
-        # comparable spreads and keeps both; filtering first drops the quiet one
-        rng = np.random.default_rng(4)
-        X = np.column_stack([rng.normal(0, 5.0, 50), rng.normal(0, 0.01, 50)])
-        d = Dataset(X, columns=("loud", "quiet"))
-        first = apply_pipeline(
-            PreprocessPipeline((("iqr_filter", 0.5), "standardize")), d
-        )
-        assert first.column_map == ("loud",)
-        second = apply_pipeline(
-            PreprocessPipeline(("standardize", ("iqr_filter", 0.5))), d
-        )
-        assert second.column_map == ("loud", "quiet")
-
-    def test_column_map_composition(self):
-        rng = np.random.default_rng(5)
-        X = np.column_stack(
-            [rng.normal(0, 1, 30), np.full(30, 1.0), rng.normal(0, 2, 30),
-             np.full(30, 3.0), rng.normal(0, 3, 30)]
-        )
-        names = ("a", "b", "c", "d", "e")
-        d = Dataset(X, columns=names)
-        res = apply_pipeline(
-            PreprocessPipeline((("low_variance_filter", 0.01), "standardize")), d
-        )
-        assert res.column_map == tuple(names[i] for i in res.kept_indices)
-        assert res.dataset.columns == res.column_map
-        assert res.column_map == ("a", "c", "e")
-
-    def test_labels_carried_through(self):
-        d = make_balanced(20, 3, seed=6)
-        res = apply_pipeline(PreprocessPipeline(("standardize",)), d)
-        np.testing.assert_array_equal(res.dataset.y, d.y)
 
 
 class TestStatePersistence:

@@ -19,13 +19,13 @@ from vbda import (
     Dataset,
     Hyperparameters,
     compute_stats,
-    compute_stats_with_new,
     exact_posterior,
     lambda_bayes_lda,
     lambda_bayes_qda,
     lambda_lrt_lda,
     lambda_lrt_qda,
 )
+from vbda.oracle import _stats_with_new
 
 from conftest import make_balanced
 from numeric_mle import numeric_lambda_lrt, numeric_mle_check
@@ -95,7 +95,7 @@ class TestLambdaBayes:
     def test_lda_is_shifted_with_new_ratio(self, seed, y_new):
         d = make_balanced(12, 3, seed=seed, shift=1.0, k=1)
         x_new = np.random.default_rng(seed + 5).standard_normal(3)
-        s = compute_stats_with_new(d, x_new, y_new)
+        s = _stats_with_new(d, x_new, y_new)
         expected = lambda_lrt_lda(s, d.n) - math.log(d.n + 1.0)
         np.testing.assert_allclose(
             lambda_bayes_lda(d, x_new, y_new), expected, rtol=1e-12
@@ -107,7 +107,7 @@ class TestLambdaBayes:
         # large-n behavior: lambda_bayes ~ lambda_lrt - 2 log(n+1)
         d = make_balanced(400, 2, seed=seed, shift=1.0, k=1)
         x_new = np.random.default_rng(seed + 5).standard_normal(2)
-        s = compute_stats_with_new(d, x_new, y_new)
+        s = _stats_with_new(d, x_new, y_new)
         lam_ratio = lambda_lrt_qda(s, d.n, s.n1, s.n0)
         lam_bayes = lambda_bayes_qda(d, x_new, y_new)
         gap = lam_bayes - (lam_ratio - 2.0 * math.log(d.n + 1.0))

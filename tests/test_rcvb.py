@@ -456,6 +456,30 @@ class TestBlockedScorer:
         with pytest.raises(DataValidationError, match="new observations contain non-finite values"):
             rule(f, x)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [core._BLOCK, SMALL_BLOCK])
+    @pytest.mark.parametrize("cells, big", [
+        ((-1, -1), 1e160),
+        ((-1, slice(None)), 1e160),  # squared terms of both signs: inf - inf
+        ((0, 0), 1.5e308),
+    ], ids=["last_cell", "whole_row", "near_max"])
+    def test_vqda_rejects_values_too_large_to_square(self, cells, big, block, monkeypatch):
+        # Training rejects such values; VQDA scoring does too, with no numpy
+        # warning, in whichever tile the value falls.
+        monkeypatch.setattr(core, "_BLOCK", block)
+        f, x = _wide_fit(0.0, "vqda")
+        x[cells] = big
+        with pytest.raises(DataValidationError,
+                           match="^new observations contain values too large to square$"):
+            predict_vqda(f, x)
+
+    @pytest.mark.filterwarnings("error")
+    def test_vlda_scores_a_value_vqda_cannot_square(self):
+        # The linear rule never squares a cell, so it still scores the row.
+        f, x = _wide_fit(0.0)
+        x[-1, -1] = 1e160
+        assert np.isfinite(predict_vlda(f, x).score).all()
+
     @pytest.mark.parametrize("m", [1, 300])
     def test_row_blocks_match_whole_matrix_form(self, m, monkeypatch):
         # 300 rows of 500 columns make 19 row blocks; a single row one tile
