@@ -2,8 +2,9 @@
 
 CSV files carry a mandatory header row and an optional 0/1 label column.
 A cell is accepted exactly when Python ``float()`` parses it (features must
-also be finite).  Each row is converted with one numpy cast; a row that fails
-is rescanned cell by cell, so parse failures report the offending row and
+also be finite).  The body below the header is parsed in one numpy pass; a
+file that pass cannot take exactly, or that has a bad cell, is parsed again
+by the row-by-row fallback, which is exact and names the offending row and
 column (header is row 1).
 
 Fit states persist as schema-versioned JSON with full float precision
@@ -13,6 +14,7 @@ Fit states persist as schema-versioned JSON with full float precision
 from __future__ import annotations
 
 import csv
+import io
 import json
 from contextlib import contextmanager
 
@@ -58,11 +60,14 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     """Read a header-first CSV into a Dataset, optionally peeling off a 0/1
     label column by name.  Errors name the offending row and column.
 
-    A cell is accepted exactly when Python ``float()`` parses it.  Each row is
-    converted with one numpy cast, which calls ``float()`` per cell; a row the
-    cast or the finite/label checks reject is rescanned cell by cell to name
-    its first bad cell.  The file must be UTF-8 text; a UTF-8 byte-order mark
-    before the header is ignored.
+    A cell is accepted exactly when Python ``float()`` parses it.  The body is
+    parsed in one ``np.loadtxt`` pass, which rounds each cell as ``float()``
+    does and accepts a strict subset of what it accepts.  Whenever that pass
+    fails or its result is not exactly the rows, width, finite values and 0/1
+    labels the file must have, the body is parsed again row by row with
+    ``csv.reader`` and ``float()``; that exact fallback accepts what only
+    ``float()`` accepts and names the first bad cell.  The file must be UTF-8
+    text; a UTF-8 byte-order mark before the header is ignored.
     """
     with _read_utf8(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -78,35 +83,70 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 f"{path}: label column {label_column!r} not found in header"
             )
         label_idx = header.index(label_column) if label_column is not None else None
+        body = fh.read()
 
-        rows: list[np.ndarray] = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataValidationError(
-                    f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = np.array(row, dtype=np.float64)
-            except ValueError:
-                values = None
-            if (
-                values is None
-                or not np.isfinite(values).all()
-                or (label_idx is not None and values[label_idx] not in (0.0, 1.0))
-            ):
-                values = np.array(_scan_row(path, header, row_no, row, label_idx))
-            rows.append(values)
-
-    if not rows:
-        raise DataValidationError(f"{path}: no data rows below the header")
+    X = _parse_body(body, len(header), label_idx)
+    if X is None:
+        X = _parse_rows(path, header, label_idx, body)
     columns = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not columns:
         raise DataValidationError(f"{path}: no feature columns besides the label")
-    X = np.stack(rows)
     if label_idx is None:
         return Dataset(X, columns=columns)
     y = X[:, label_idx].astype(int)
     return Dataset(np.delete(X, label_idx, axis=1), y, columns=columns)
+
+
+def _parse_body(body: str, width: int, label_idx) -> np.ndarray | None:
+    """The whole body in one ``np.loadtxt`` pass, or None unless that gives
+    one row of ``width`` finite values, with a 0/1 label, per line.
+
+    A blank line is refused before ``loadtxt``, which would skip it (and warn
+    if no line were left); a bare CR within a line makes ``loadtxt`` raise.
+    Either way the file goes to the row-by-row fallback."""
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or any(not line or line.isspace() for line in lines):
+        return None
+    try:
+        X = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if X.shape != (len(lines), width) or not np.isfinite(X).all():
+        return None
+    if label_idx is not None and not np.isin(X[:, label_idx], (0.0, 1.0)).all():
+        return None
+    return X
+
+
+def _parse_rows(path, header, label_idx, body: str) -> np.ndarray:
+    """The exact fallback: each ``csv.reader`` row of the body is converted
+    with one numpy cast, which calls ``float()`` per cell; a row the cast or
+    the finite/label checks reject is rescanned cell by cell to name its first
+    bad cell (header is row 1)."""
+    rows: list[np.ndarray] = []
+    # newline="" keeps a bare CR a line ending for csv.reader.
+    reader = csv.reader(io.StringIO(body, newline=""))
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataValidationError(
+                f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            values = np.array(row, dtype=np.float64)
+        except ValueError:
+            values = None
+        if (
+            values is None
+            or not np.isfinite(values).all()
+            or (label_idx is not None and values[label_idx] not in (0.0, 1.0))
+        ):
+            values = np.array(_scan_row(path, header, row_no, row, label_idx))
+        rows.append(values)
+    if not rows:
+        raise DataValidationError(f"{path}: no data rows below the header")
+    return np.stack(rows)
 
 
 def _scan_row(path, header, row_no, row, label_idx) -> list[float]:

@@ -33,7 +33,6 @@ array and a held-out row of cross-validation is copied once.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,8 +252,8 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
     over ``core._tiles``, the walker the statistics use too, so tall inputs
     are split by rows as well.  Each tile is checked for non-finite values,
     centred in place and its matvec added into its rows' scores; for the
-    quadratic rule it is then squared in place for the second matvec, and
-    a row whose squares overflow is rejected, as training rejects it.
+    quadratic rule it is then squared in place for the second matvec.  A
+    row whose products overflow is rejected, as training rejects it.
 
     ``x_new`` is a Dataset or array-like; its shape is checked at once.
     ``rows`` picks rows of x_new without copying the others;
@@ -279,9 +278,10 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
         linear, quadratic = w * diff / s.var_pooled, None
     m = X.shape[0] if rows is None else len(rows)
     disc = np.zeros(m)
-    # A finite cell above about 1e154 overflows when the quadratic rule squares
-    # it; the scores are checked once after the loop, not every tile.
-    with np.errstate(over="ignore", invalid="ignore") if quadratic is not None else nullcontext():
+    # A finite cell can overflow a product: above about 1e154 when the
+    # quadratic rule squares it, near the float maximum in any rule.  The
+    # discriminants are checked once when complete, not every tile.
+    with np.errstate(over="ignore", invalid="ignore"):
         for part, cols, xc in _tiles(X, rows):
             if not np.isfinite(xc).all():
                 raise DataValidationError("new observations contain non-finite values")
@@ -290,26 +290,31 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
             if quadratic is not None:
                 disc[part] += np.square(xc, out=xc) @ quadratic[cols]
             del xc  # a gathered tile is freed before the next gather, as in _moments
-    if quadratic is not None and not np.isfinite(disc).all():
-        raise DataValidationError("new observations contain values too large to square")
+        if rule == "vqda":
+            disc += 0.25 * diff**2 @ quadratic - 0.5 * (w @ np.log(s.var1 / s.var0))
+        else:
+            disc *= 1.0 + 1.0 / s.n
+    # A comparison, not np.isfinite, so np.isfinite stays one call per tile;
+    # NaN fails it as inf does.
+    if not (np.abs(disc) <= np.finfo(np.float64).max).all():
+        what = "square" if quadratic is not None else "score"
+        raise DataValidationError(f"new observations contain values too large to {what}")
 
     if rule == "vqda":
-        disc += 0.25 * diff**2 @ quadratic - 0.5 * (w @ np.log(s.var1 / s.var0))
         g1 = math.lgamma((s.n1 + 1) / 2.0) - math.lgamma(s.n1 / 2.0)
         g0 = math.lgamma((s.n0 + 1) / 2.0) - math.lgamma(s.n0 / 2.0)
         score = math.log(s.n1 / s.n0) + w.sum() * (g1 - g0) + 0.5 * disc
+    elif rule == "coupled":
+        a, log_b = h.a_y + s.n1, math.log(h.b_y + s.n0)
+        y, iterations, delta = _batch_fixed_point(np.full(m, 0.5), disc, a, log_b, h)
+        return Prediction(
+            y_tilde=y,
+            labels=(y > h.c_y).astype(np.int8),
+            score=_log_odds(y, a, log_b) + disc,
+            converged=delta <= h.eps,
+            iterations=iterations,
+        )
     else:
-        disc *= 1.0 + 1.0 / s.n
-        if rule == "coupled":
-            a, log_b = h.a_y + s.n1, math.log(h.b_y + s.n0)
-            y, iterations, delta = _batch_fixed_point(np.full(m, 0.5), disc, a, log_b, h)
-            return Prediction(
-                y_tilde=y,
-                labels=(y > h.c_y).astype(np.int8),
-                score=_log_odds(y, a, log_b) + disc,
-                converged=delta <= h.eps,
-                iterations=iterations,
-            )
         score = math.log((s.n1 + h.a_y) / (s.n0 + h.b_y)) + disc
     y_tilde = expit(score)
     return Prediction(

@@ -196,6 +196,19 @@ class TestPredict:
         assert rc == 3
         assert "missing model column" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [[], ["--coupled"]], ids=["vlda", "coupled"])
+    def test_value_too_large_to_score_exit_3(self, fitted_dir, tmp_path, capsys, flags):
+        out, _, d = fitted_dir
+        x = d.X[:2].copy()
+        x[-1, 0] = 1.5e308  # finite, but overflows the signal column's product
+        newfile = tmp_path / "big.csv"
+        save_csv(Dataset(x), newfile)
+        rc = main(["predict", "--state", str(out / "fit_state.json"), "--data",
+                   str(newfile), "--out-dir", str(tmp_path / "p6"), *flags])
+        assert rc == 3
+        assert "new observations contain values too large to score" in capsys.readouterr().err
+
     def test_corrupt_stats_exit_3(self, fitted_dir, tmp_path, capsys):
         out, data, _ = fitted_dir
         doc = read_json(out / "fit_state.json")

@@ -1,9 +1,14 @@
 """CSV parsing and errors, fit-state persistence, report rows."""
 
+import csv
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbda import (
     DataValidationError,
@@ -18,6 +23,7 @@ from vbda import (
     save_csv,
     save_state,
 )
+from vbda import dataio
 from vbda.dataio import prediction_rows, selection_rows, write_json, write_tsv
 
 from conftest import make_balanced
@@ -163,6 +169,150 @@ class TestLoadCsv:
         assert crlf.columns == lf.columns
         np.testing.assert_array_equal(crlf.y, lf.y)
         np.testing.assert_array_equal(crlf.X, lf.X)
+
+
+def reference_load(path, label_column):
+    """``load_csv``'s contract, written plainly: every ``csv.reader`` row,
+    ``float()`` per cell, then the finite and 0/1 label checks.  Returns
+    (X, y, columns), or None where ``load_csv`` must raise."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        return None
+    header, body = rows[0], rows[1:]
+    if len(set(header)) != len(header) or (label_column not in header + [None]):
+        return None
+    label_idx = header.index(label_column) if label_column is not None else None
+    columns = tuple(name for i, name in enumerate(header) if i != label_idx)
+    if not body or not columns:
+        return None
+    X = []
+    for row in body:
+        if len(row) != len(header):
+            return None
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            return None
+        for i, v in enumerate(values):
+            if (v not in (0.0, 1.0)) if i == label_idx else not math.isfinite(v):
+                return None
+        X.append(values)
+    X = np.array(X)
+    if label_idx is None:
+        return X, None, columns
+    return np.delete(X, label_idx, axis=1), X[:, label_idx].astype(int), columns
+
+
+# Cells that only the row-by-row fallback accepts, or that every path rejects.
+EDGE_CELLS = ["1e-320", " 2 ", "1_0", "\u0661", '"3"', '""', "nan", "inf", "0x1", "1e", ""]
+VALID_CELLS = st.one_of(
+    st.sampled_from(["0", "1"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A small header-first CSV: clean files of repr floats and 0/1, or files
+    with edge cells, ragged rows and blank lines; LF, CRLF or bare-CR lines."""
+    p = draw(st.integers(1, 4))
+    edgy = draw(st.booleans())
+    cell = st.one_of(VALID_CELLS, st.sampled_from(EDGE_CELLS)) if edgy else VALID_CELLS
+    width = st.integers(max(p - 1, 1), p + 1) if edgy else st.just(p)
+    row = width.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k)).map(",".join)
+    if edgy:
+        row = st.one_of(row, st.sampled_from(["", " "]))
+    lines = [",".join(f"c{j}" for j in range(p))] + draw(st.lists(row, max_size=5))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+class TestLoadCsvPaths:
+    """``load_csv`` parses the body in one numpy pass and falls back to the
+    row-by-row parser; both must give exactly the plain reference's result."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(text=csv_texts(), labelled=st.booleans())
+    def test_matches_plain_reference(self, tmp_path_factory, text, labelled):
+        path = tmp_path_factory.getbasetemp() / "parity.csv"
+        path.write_bytes(text.encode("utf-8"))
+        label_column = "c0" if labelled else None
+        want = reference_load(path, label_column)
+        if want is None:
+            with pytest.raises(DataValidationError) as got:
+                load_csv(path, label_column=label_column)
+            # The error is the row-by-row parser's, naming the first bad cell.
+            with mock.patch.object(dataio, "_parse_body", lambda *args: None):
+                with pytest.raises(DataValidationError) as fallback:
+                    load_csv(path, label_column=label_column)
+            assert str(got.value) == str(fallback.value)
+            return
+        got = load_csv(path, label_column=label_column)
+        X, y, columns = want
+        assert got.X.shape == X.shape
+        np.testing.assert_array_equal(got.X.view(np.int64), X.view(np.int64))
+        assert (got.y is None) if y is None else got.y.tolist() == y.tolist()
+        assert got.columns == columns
+
+    @pytest.mark.parametrize("label_column", [None, "label"])
+    def test_plain_file_takes_the_numpy_pass(self, tmp_path, monkeypatch, label_column):
+        d = Dataset(np.random.default_rng(0).standard_normal((6, 3)),
+                    np.array([0, 1, 0, 1, 1, 0]), columns=("a", "b", "c"))
+        path = tmp_path / "plain.csv"
+        save_csv(d, path)
+
+        def no_fallback(*args):
+            raise AssertionError("row-by-row fallback taken")
+
+        monkeypatch.setattr(dataio, "_parse_rows", no_fallback)
+        back = load_csv(path, label_column=label_column)
+        if label_column is None:
+            np.testing.assert_array_equal(back.X, np.column_stack([d.y, d.X]))
+        else:
+            np.testing.assert_array_equal(back.X, d.X)
+            np.testing.assert_array_equal(back.y, d.y)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n", "no data rows below the header"),
+        ("a,b\n\n\n", "row 2: expected 2 fields, got 0"),
+        ("a\n \n", "row 2, column 'a': missing value"),
+    ], ids=["header_only", "blank_lines", "whitespace_row"])
+    def test_rows_without_data_rejected_silently(self, tmp_path, text, message):
+        with pytest.raises(DataValidationError, match=message):
+            load_csv(write(tmp_path / "nd.csv", text))
+
+    def test_blank_line_mid_file_named(self, tmp_path):
+        path = write(tmp_path / "bl.csv", "a,b\n1,2\n\n3,4\n")
+        with pytest.raises(DataValidationError, match="row 3: expected 2 fields, got 0"):
+            load_csv(path)
+
+    def test_bare_cr_matches_lf(self, tmp_path):
+        text = "label,a,b\n1,0.5,2\n0,-1,3e-5\n"
+        lf = load_csv(write(tmp_path / "lf.csv", text), label_column="label")
+        cr_path = tmp_path / "cr.csv"
+        cr_path.write_bytes(text.replace("\n", "\r").encode("utf-8"))
+        cr = load_csv(cr_path, label_column="label")
+        assert cr.columns == lf.columns
+        np.testing.assert_array_equal(cr.y, lf.y)
+        np.testing.assert_array_equal(cr.X, lf.X)
+
+    def test_multiline_quoted_header_name(self, tmp_path):
+        d = load_csv(write(tmp_path / "mh.csv", '"gene\nname",b\n1,2\n3,4\n'))
+        assert d.columns == ("gene\nname", "b")
+        np.testing.assert_array_equal(d.X, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661", 1.0), ('"3"', 3.0)])
+    def test_cell_only_float_accepts_still_loads(self, tmp_path, cell, value):
+        d = load_csv(write(tmp_path / "f.csv", f"a,b\n1,2\n{cell},4\n"))
+        np.testing.assert_array_equal(d.X, [[1.0, 2.0], [value, 4.0]])
+
+    def test_trailing_comma_counts_a_field(self, tmp_path):
+        path = write(tmp_path / "tc.csv", "a,b\n1,2\n3,4,\n")
+        with pytest.raises(DataValidationError, match="row 3: expected 2 fields, got 3"):
+            load_csv(path)
 
 
 class TestStatePersistence:

@@ -480,6 +480,21 @@ class TestBlockedScorer:
         x[-1, -1] = 1e160
         assert np.isfinite(predict_vlda(f, x).score).all()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coupled", [False, True], ids=["vlda", "coupled"])
+    @pytest.mark.parametrize("big", [(1.5e308,), (1.5e308, -1.5e308), (3.55e307,)],
+                             ids=["inf", "inf_minus_inf", "scaled_past_max"])
+    def test_linear_rules_reject_values_too_large_to_score(self, big, coupled):
+        # Columns 0-1 carry linear weights of about 5 and 3, so a cell near the
+        # float maximum overflows the matvec; at 3.55e307 the matvec is finite
+        # (1.78e308) and only its (1 + 1/n) scaling overflows.
+        f = fit_vlda(make_balanced(40, 5, seed=0, shift=3.0, k=2))
+        x = np.random.default_rng(1).standard_normal((3, 5))
+        x[-1, :len(big)] = big
+        with pytest.raises(DataValidationError,
+                           match="^new observations contain values too large to score$"):
+            predict(f, x, coupled=coupled)
+
     @pytest.mark.parametrize("m", [1, 300])
     def test_row_blocks_match_whole_matrix_form(self, m, monkeypatch):
         # 300 rows of 500 columns make 19 row blocks; a single row one tile
