@@ -8,7 +8,11 @@ by the row-by-row fallback, which is exact and names the offending row and
 column (header is row 1).
 
 Fit states persist as schema-versioned JSON with full float precision
-(repr round-trip), so save -> load -> save is byte-identical.
+(repr round-trip), so save -> load -> save is byte-identical.  A state is
+one line of compact JSON with sorted keys, written by the C encoder;
+``load_state`` reads the earlier indented layout too.  Reports are indented
+JSON (``write_json``) and TSV (``write_tsv``), each built in memory and
+written in one call.
 """
 
 from __future__ import annotations
@@ -101,23 +105,40 @@ def _parse_body(body: str, width: int, label_idx) -> np.ndarray | None:
     """The whole body in one ``np.loadtxt`` pass, or None unless that gives
     one row of ``width`` finite values, with a 0/1 label, per line.
 
-    A blank line is refused before ``loadtxt``, which would skip it (and warn
-    if no line were left); a bare CR within a line makes ``loadtxt`` raise.
-    Either way the file goes to the row-by-row fallback."""
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or any(not line or line.isspace() for line in lines):
+    The lines reach ``loadtxt`` one at a time, so no list of them is held
+    beside the body.  A blank line is refused by a first pass, before
+    ``loadtxt``, which would skip it (and warn if no line were left); a bare
+    CR within a line makes ``loadtxt`` raise.  Either way the file goes to the
+    row-by-row fallback."""
+    count = 0
+    for line in _lines(body):
+        if not line or line.isspace():
+            return None
+        count += 1
+    if not count:
         return None
     try:
-        X = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        X = np.loadtxt(_lines(body), delimiter=",", comments=None, ndmin=2,
+                       dtype=np.float64)
     except ValueError:
         return None
-    if X.shape != (len(lines), width) or not np.isfinite(X).all():
+    if X.shape != (count, width) or not np.isfinite(X).all():
         return None
     if label_idx is not None and not np.isin(X[:, label_idx], (0.0, 1.0)).all():
         return None
     return X
+
+
+def _lines(body: str):
+    """The lines of ``body``, split at LF alone, one at a time: the pieces of
+    ``body.split(LF)`` without the empty piece after a final LF."""
+    start = 0
+    while start < len(body):
+        stop = body.find("\n", start)
+        if stop < 0:
+            stop = len(body)
+        yield body[start:stop]
+        start = stop + 1
 
 
 def _parse_rows(path, header, label_idx, body: str) -> np.ndarray:
@@ -224,7 +245,8 @@ def _stats_from_json(obj: dict, p: int) -> VariableStats:
 
 
 def save_state(f: FitState, path) -> None:
-    """Persist a fit as deterministic, schema-versioned JSON."""
+    """Persist a fit as deterministic, schema-versioned JSON: one line with
+    sorted keys, written by the C encoder."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "model": f.model,
@@ -236,7 +258,8 @@ def save_state(f: FitState, path) -> None:
         "hyper": {k: getattr(f.hyper, k) for k in f.hyper.__dataclass_fields__},
         "stats": _stats_to_json(f.stats),
     }
-    write_json(doc, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_state(path) -> FitState:
@@ -296,12 +319,12 @@ def align_to_columns(d: Dataset, columns: tuple[str, ...] | None) -> Dataset:
 
 def selection_rows(f: FitState) -> list[dict]:
     """One record per variable: (variable_id, w, selected)."""
-    selected = np.zeros(f.p, dtype=bool)
-    selected[select_variables(f)] = True
+    selected = np.zeros(f.p, dtype=np.int8)
+    selected[select_variables(f)] = 1
     names = _column_names(f.columns, f.p)
     return [
-        {"variable_id": names[j], "w": float(f.w[j]), "selected": int(selected[j])}
-        for j in range(f.p)
+        {"variable_id": name, "w": w, "selected": sel}
+        for name, w, sel in zip(names, f.w.tolist(), selected.tolist())
     ]
 
 
@@ -319,13 +342,13 @@ def write_tsv(rows: list[dict], path, header: tuple[str, ...]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(row[k])) if isinstance(row[k], float)
-                             else row[k] for k in header])
+        writer.writerows(
+            [repr(float(row[k])) if isinstance(row[k], float) else row[k] for k in header]
+            for row in rows
+        )
 
 
 def write_json(obj, path) -> None:
     """Deterministic JSON document (sorted keys, indented, trailing newline)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

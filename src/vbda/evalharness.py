@@ -21,6 +21,10 @@ variables, E = e0 + e1, plus hard false-positive/negative counts at the
 selection threshold, as the training size grows.  Curves are recorded both
 after a single update cycle and at convergence, since the consistency
 guarantee holds for any cycle count >= 1 and the two can differ in practice.
+Each replicate is drawn bare (``simgen._draw``: no names, no split), reduced
+to its statistics and then to its ten numbers before the next is drawn, and
+both curves come from one fixed point: the single-cycle iterate is where the
+converged fit continues from.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .core import (
     compute_stats,
 )
 from .rcvb import _FITTERS, _fit, _rule, _score, select_variables
-from .simgen import SimSetting, derive_seed, generate
+from .simgen import SimSetting, _draw, _signal_mask, derive_seed
 
 __all__ = [
     "EvalReport",
@@ -284,8 +288,10 @@ def consistency_experiment(
     """Fit fresh replicates of ``setting`` at each training size in ``ns`` and
     record the selection-error curves after one cycle and at convergence.
 
-    Each replicate's statistics are computed once; the single-cycle fit and
-    the converged fit both start from them."""
+    Each (size, replicate) cell is drawn, fitted and reduced to its numbers
+    by ``_consistency_cell`` before the next is drawn.  Both curves come from
+    one fixed point: the converged fit continues from the single-cycle
+    iterate, so it runs the same cycles as a fit started afresh."""
     ns = tuple(int(n) for n in ns)
     if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
         raise DataValidationError("ns must be a nonempty strictly increasing sequence")
@@ -294,36 +300,42 @@ def consistency_experiment(
     if model not in _FITTERS:
         raise DataValidationError(f"model must be one of {sorted(_FITTERS)}, got {model!r}")
     h = h or Hyperparameters()
-    h_tau1 = replace(h, max_cycles=1)
+    truth = _signal_mask(setting)
 
-    shape = (len(ns), reps)
-    raw = {tag: {f: np.zeros(shape) for f in ("E", "e0", "e1", "fp", "fn")}
-           for tag in ("tau1", "conv")}
+    fields = ("E", "e0", "e1", "fp", "fn")
+    raw = np.zeros((2, len(fields), len(ns), reps))  # (tau1/conv, field, n, rep)
     for i, n in enumerate(ns):
         for rep in range(reps):
             s = replace(setting, n_train=n, n_valid=0, n_test=0,
                         seed=derive_seed(seed, i, rep))
-            r = generate(s)
-            truth = r.gamma_true
-            stats = compute_stats(r.train, h.variance_floor)
-            for tag, hp in (("tau1", h_tau1), ("conv", h)):
-                w = _fit(stats, hp, model).w
-                e0 = float(w[~truth].sum())
-                e1 = float((1.0 - w[truth]).sum())
-                sel = w > h.c_w
-                raw[tag]["e0"][i, rep] = e0
-                raw[tag]["e1"][i, rep] = e1
-                raw[tag]["E"][i, rep] = e0 + e1
-                raw[tag]["fp"][i, rep] = int(sel[~truth].sum())
-                raw[tag]["fn"][i, rep] = int((~sel[truth]).sum())
+            raw[:, :, i, rep] = _consistency_cell(s, h, model, truth)
 
-    def curve(tag):
-        return ConsistencyCurve(ns=ns, **raw[tag])
-
-    return ConsistencyResult(
-        setting=setting,
-        model=model,
-        reps=reps,
-        at_tau1=curve("tau1"),
-        at_convergence=curve("conv"),
+    at_tau1, at_convergence = (
+        ConsistencyCurve(ns=ns, **dict(zip(fields, curve))) for curve in raw
     )
+    return ConsistencyResult(setting=setting, model=model, reps=reps,
+                             at_tau1=at_tau1, at_convergence=at_convergence)
+
+
+def _consistency_cell(s: SimSetting, h: Hyperparameters, model: str,
+                      truth: np.ndarray) -> list:
+    """(E, e0, e1, fp, fn) after one cycle and at convergence for one fresh
+    draw of ``s``.  The draw has no names and lives only in this call, so no
+    replicate is held while the next is drawn."""
+    X, y, _, _ = _draw(s)
+    stats = compute_stats(Dataset(X, y), h.variance_floor)
+    f = _fit(stats, replace(h, max_cycles=1), model)
+    out = [_selection_errors(f.w, truth, h.c_w)]
+    if not f.converged and h.max_cycles > 1:
+        f = _fit(stats, replace(h, max_cycles=h.max_cycles - 1), model, w0=f.w)
+    out.append(_selection_errors(f.w, truth, h.c_w))
+    return out
+
+
+def _selection_errors(w: np.ndarray, truth: np.ndarray, c_w: float) -> tuple:
+    """(E, e0, e1, fp, fn): soft errors e0 = sum of w over noise variables and
+    e1 = sum of 1 - w over signal variables, and hard counts at ``c_w``."""
+    e0 = float(w[~truth].sum())
+    e1 = float((1.0 - w[truth]).sum())
+    sel = w > c_w
+    return e0 + e1, e0, e1, int(sel[~truth].sum()), int((~sel[truth]).sum())

@@ -181,9 +181,12 @@ def _fit(
     h: Hyperparameters,
     model: str,
     columns: tuple[str, ...] | None = None,
+    w0: np.ndarray | None = None,
 ) -> FitState:
+    """The fixed point of ``model`` on ``stats``, from ``w0`` if given and
+    from ``h.w_init`` everywhere otherwise."""
     w, cycles, delta = _batch_fixed_point(
-        np.full(stats.p, float(h.w_init)),
+        np.full(stats.p, float(h.w_init)) if w0 is None else w0,
         _eta_offset(model, stats),
         h.a_gamma,
         log_b_gamma(stats.n, stats.p, h.r, h.kappa),

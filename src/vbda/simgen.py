@@ -13,6 +13,11 @@ cost stays O(np) with no p-by-p factorization:
 A nonzero ``delta_sigma`` inflates the group-0 standard deviation on the
 signal variables to 1 + delta_sigma, producing the heterogeneous-variance
 regime where the quadratic model should win.
+
+``generate`` wraps the private ``_draw``, which makes every random draw of a
+replicate and returns the bare matrix and labels; ``generate`` splits them
+into Datasets named v1..vp.  The consistency experiment calls ``_draw``
+itself, so its replicates build no names.
 """
 
 from __future__ import annotations
@@ -209,13 +214,12 @@ def _correlated_normals(s: SimSetting, n: int, rng: np.random.Generator):
     return uniform_corr_sample(s.p, rho, n, rng)
 
 
-def generate(s: SimSetting) -> SimReplicate:
-    """Draw one replicate: labels, correlated noise, then mean/scale shifts.
+def _draw(s: SimSetting):
+    """The random part of :func:`generate`: labels for all three splits (with
+    redraws), then the correlated matrix with its mean and scale shifts.
 
-    Labels are redrawn (up to a bounded number of attempts) if the training
-    slice ends up with fewer than two observations in either group, which
-    keeps every replicate a valid training set.  Deterministic given
-    ``s.seed``.
+    Returns ``(X, y, mu1, sigma0)``, unnamed and unsplit, from the same RNG
+    calls in the same order as ``generate``, which wraps them.
     """
     rng = np.random.default_rng(s.seed)
     p1 = s.p1
@@ -247,7 +251,25 @@ def generate(s: SimSetting) -> SimReplicate:
     if s.delta_sigma > 0:
         X[np.ix_(is0, signal)] *= sigma0[signal]
     X[np.ix_(~is0, signal)] += mu1[signal]
+    return X, y, mu1, sigma0
 
+
+def _signal_mask(s: SimSetting) -> np.ndarray:
+    """The true selection: the first ``s.p1`` variables carry the signal."""
+    gamma_true = np.zeros(s.p, dtype=bool)
+    gamma_true[: s.p1] = True
+    return gamma_true
+
+
+def generate(s: SimSetting) -> SimReplicate:
+    """Draw one replicate: labels, correlated noise, then mean/scale shifts.
+
+    Labels are redrawn (up to a bounded number of attempts) if the training
+    slice ends up with fewer than two observations in either group, which
+    keeps every replicate a valid training set.  Deterministic given
+    ``s.seed``.  Each split is a Dataset with the default names v1..vp.
+    """
+    X, y, mu1, sigma0 = _draw(s)
     columns = _column_names(None, s.p)
 
     def cut(lo, hi):
@@ -256,13 +278,11 @@ def generate(s: SimSetting) -> SimReplicate:
         return Dataset(X[lo:hi], y[lo:hi], columns=columns)
 
     n_t, n_v = s.n_train, s.n_valid
-    gamma_true = np.zeros(s.p, dtype=bool)
-    gamma_true[signal] = True
     return SimReplicate(
         train=cut(0, n_t),
         valid=cut(n_t, n_t + n_v),
-        test=cut(n_t + n_v, total),
-        gamma_true=gamma_true,
+        test=cut(n_t + n_v, X.shape[0]),
+        gamma_true=_signal_mask(s),
         mu1=mu1,
         sigma0=sigma0,
         setting=s,

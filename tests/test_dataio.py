@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -314,6 +315,31 @@ class TestLoadCsvPaths:
         with pytest.raises(DataValidationError, match="row 3: expected 2 fields, got 3"):
             load_csv(path)
 
+    @given(body=st.text(alphabet="a\n\r ,", max_size=12))
+    def test_lines_are_the_split_pieces(self, body):
+        pieces = body.split("\n")
+        if pieces[-1] == "":
+            pieces.pop()
+        assert list(dataio._lines(body)) == pieces
+
+    def test_peak_memory_holds_no_list_of_lines(self, tmp_path):
+        # Reading the body holds its bytes and its text at once (about twice
+        # the file); a list of its lines beside the text would add another
+        # file's worth, and the parsed matrix half of one.
+        rng = np.random.default_rng(0)
+        d = Dataset(rng.standard_normal((100, 2000)), np.arange(100) % 2)
+        path = tmp_path / "wide.csv"
+        save_csv(d, path)
+        load_csv(path, label_column="label")  # first-call allocations
+        tracemalloc.start()
+        try:
+            back = load_csv(path, label_column="label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.X, d.X)
+        assert peak < 2.25 * path.stat().st_size
+
 
 class TestStatePersistence:
     @pytest.fixture()
@@ -327,6 +353,32 @@ class TestStatePersistence:
         save_state(fitted, p1)
         save_state(load_state(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_compact_sorted_one_line(self, fitted, tmp_path):
+        path = tmp_path / "s.json"
+        save_state(fitted, path)
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True) + "\n"
+        assert text.count("\n") == 1
+        assert doc["schema_version"] == dataio.SCHEMA_VERSION
+        assert sorted(doc) == ["columns", "converged", "cycles_run", "final_delta",
+                               "hyper", "model", "schema_version", "stats", "w"]
+
+    def test_indented_state_loads_and_resaves_compact(self, fitted, tmp_path):
+        # A state written in the earlier indented layout still loads; saving
+        # it again writes the compact layout, which then round-trips exactly.
+        p0, p1, p2 = (tmp_path / f"s{i}.json" for i in range(3))
+        save_state(fitted, p1)
+        doc = json.loads(p1.read_text(encoding="utf-8"))
+        p0.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        old = load_state(p0)
+        np.testing.assert_array_equal(old.w, fitted.w)
+        assert old.columns == fitted.columns and old.hyper == fitted.hyper
+        save_state(old, p2)
+        assert p2.read_bytes() == p1.read_bytes()
+        save_state(load_state(p2), p0)
+        assert p0.read_bytes() == p2.read_bytes()
 
     def test_loaded_state_predicts_identically(self, fitted, tmp_path, rng):
         path = tmp_path / "s.json"
@@ -473,3 +525,29 @@ class TestReportRows:
         write_json({"a": [1, 2], "b": 1}, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().endswith("\n")
+
+    def test_write_json_bytes(self, tmp_path):
+        obj = {"z": [1.5, 0.1 + 0.2, None, True], "a": {"y": "t\tab", "b": 2}, "m": []}
+        path = tmp_path / "o.json"
+        write_json(obj, path)
+        assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+    def test_write_tsv_matches_row_writer(self, tmp_path):
+        rows = [
+            {"id": "plain", "w": np.float64(0.1) + np.float64(0.2), "flag": True, "k": 3},
+            {"id": "tab\there", "w": 1e-300, "flag": False, "k": np.int64(-7)},
+            {"id": 'quote"d', "w": np.float64(2.5), "flag": np.bool_(True), "k": 0},
+            {"id": "new\nline", "w": float("inf"), "flag": 1, "k": "text"},
+        ]
+        header = ("id", "w", "flag", "k")
+        want = tmp_path / "want.tsv"
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(row[k])) if isinstance(row[k], float)
+                                 else row[k] for k in header])
+        got = tmp_path / "got.tsv"
+        write_tsv(rows, got, header)
+        assert got.read_bytes() == want.read_bytes()
+        assert "0.30000000000000004" in got.read_text(encoding="utf-8")

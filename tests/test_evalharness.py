@@ -1,6 +1,8 @@
 """Metric definitions, stratified CV mechanics, consistency curves."""
 
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from vbda import (
     Hyperparameters,
     SimSetting,
     classification_error,
+    compute_stats,
     consistency_experiment,
     fit_vlda,
     fit_vqda,
+    generate,
     kfold_cv,
     mcc,
     predict,
@@ -497,3 +501,85 @@ class TestConsistencyExperiment:
         res = consistency_experiment(s, ns=(30,), reps=2, h=h, seed=1)
         conv = res.at_convergence
         assert np.all(conv.fp == 0)  # nothing clears an absurd threshold
+
+
+def _reference_consistency(setting, ns, reps, h, seed, model):
+    """The experiment the plain way: a full named replicate from ``generate``,
+    its statistics, then a single-cycle fit and a converged fit, each started
+    afresh from ``h.w_init``."""
+    fields = ("E", "e0", "e1", "fp", "fn")
+    out = {tag: {f: np.zeros((len(ns), reps)) for f in fields} for tag in ("tau1", "conv")}
+    for i, n in enumerate(ns):
+        for rep in range(reps):
+            r = generate(replace(setting, n_train=n, n_valid=0, n_test=0,
+                                 seed=derive_seed(seed, i, rep)))
+            stats = compute_stats(r.train, h.variance_floor)
+            truth = r.gamma_true
+            for tag, hp in (("tau1", replace(h, max_cycles=1)), ("conv", h)):
+                w = rcvb._fit(stats, hp, model).w
+                e0, e1 = float(w[~truth].sum()), float((1.0 - w[truth]).sum())
+                sel = w > h.c_w
+                out[tag]["e0"][i, rep], out[tag]["e1"][i, rep] = e0, e1
+                out[tag]["E"][i, rep] = e0 + e1
+                out[tag]["fp"][i, rep] = int(sel[~truth].sum())
+                out[tag]["fn"][i, rep] = int((~sel[truth]).sum())
+    return out
+
+
+class TestConsistencyParity:
+    """``consistency_experiment`` draws nameless replicates and continues the
+    converged fit from the single-cycle iterate; its curves must equal, bit
+    for bit, those of fresh named replicates fitted twice from scratch."""
+
+    @pytest.mark.parametrize("model", ["vlda", "vqda"])
+    @pytest.mark.parametrize("setting, ns, reps, h", [
+        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters()),
+        (setting_from_index(8, p=200), (20, 60), 2, Hyperparameters()),
+        (setting_from_index(11, p=200), (30,), 3, Hyperparameters()),
+        (setting_from_index(16, p=200), (20, 40), 1, Hyperparameters(r=0.5)),
+        (SimSetting(mean_spec="custom", signal_count=3, signal_mean=1.5, p=50,
+                    delta_sigma=0.5), (20, 80), 2, Hyperparameters()),
+        # the first step already meets eps, so there is no second run
+        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(eps=1e6)),
+        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(max_cycles=1)),
+        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(max_cycles=2)),
+    ], ids=["s1", "s8", "s11", "s16_r", "custom_hetero", "eps_met_at_once",
+            "max_cycles_1", "max_cycles_2"])
+    def test_matches_fresh_named_replicates(self, setting, ns, reps, h, model):
+        res = consistency_experiment(setting, ns, reps, h=h, seed=4, model=model)
+        ref = _reference_consistency(setting, ns, reps, h, 4, model)
+        for tag, curve in (("tau1", res.at_tau1), ("conv", res.at_convergence)):
+            assert curve.ns == ns
+            for field in ("E", "e0", "e1", "fp", "fn"):
+                got = getattr(curve, field)
+                assert got.dtype == np.float64 and got.shape == (len(ns), reps)
+                np.testing.assert_array_equal(got.view(np.uint64),
+                                              ref[tag][field].view(np.uint64))
+
+    def test_one_cycle_when_first_step_meets_eps(self, monkeypatch):
+        cycles = []
+        original = rcvb._batch_fixed_point
+
+        def counting(x0, offset, a, log_b, h):
+            out = original(x0, offset, a, log_b, h)
+            cycles.append(out[1])
+            return out
+
+        monkeypatch.setattr(rcvb, "_batch_fixed_point", counting)
+        consistency_experiment(setting_from_index(1, p=200), (20,), 2,
+                               h=Hyperparameters(eps=1e6))
+        assert cycles == [1, 1]
+
+    def test_peak_memory_one_replicate(self):
+        # tracemalloc sees numpy's buffers.  One n = 100 draw is the floor;
+        # holding the n = 50 replicate while drawing the next, or building
+        # the v1..vp names, pushes the peak past 1.5 matrices.
+        s = SimSetting(mean_spec="custom", signal_count=20, signal_mean=4.0, p=20000)
+        consistency_experiment(s, (10, 20), 1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            consistency_experiment(s, (50, 100), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (100 * 20000 * 8)

@@ -17,6 +17,7 @@ from vbda import (
     setting_from_index,
     uniform_corr_sample,
 )
+from vbda.simgen import _draw
 
 
 def custom(**kw):
@@ -269,3 +270,26 @@ class TestDeriveSeed:
             derive_seed(-1, 0)
         with pytest.raises(DataValidationError, match="indices must be nonnegative"):
             derive_seed(0, -1)
+
+
+class TestDraw:
+    """``generate`` is ``_draw`` plus its split into named Datasets."""
+
+    @pytest.mark.parametrize("s", [
+        setting_from_index(4, p=200, n_train=30, n_valid=10, n_test=5, seed=3),
+        setting_from_index(6, p=200, n_train=20, n_valid=0, n_test=7, seed=1),
+        setting_from_index(11, p=200, n_train=25, n_valid=4, n_test=0, seed=2),
+        setting_from_index(13, p=200, n_train=12, n_valid=0, n_test=0, seed=5),
+        custom(delta_sigma=0.5, n_valid=3, n_test=2),
+    ], ids=["s4_three_splits", "block_ar1_no_valid", "global_ar1_no_test",
+            "uniform_train_only", "custom_hetero"])
+    def test_same_draws_as_generate(self, s):
+        X, y, mu1, sigma0 = _draw(s)
+        r = generate(s)
+        splits = [d for d in (r.train, r.valid, r.test) if d is not None]
+        np.testing.assert_array_equal(X, np.concatenate([d.X for d in splits]))
+        np.testing.assert_array_equal(y, np.concatenate([d.y for d in splits]))
+        np.testing.assert_array_equal(mu1, r.mu1)
+        np.testing.assert_array_equal(sigma0, r.sigma0)
+        assert X.flags.writeable and X.shape == (s.n_train + s.n_valid + s.n_test, s.p)
+        assert all(d.columns == tuple(f"v{j + 1}" for j in range(s.p)) for d in splits)
