@@ -25,7 +25,9 @@ Conventions used throughout:
   gracefully instead of producing infinities; a per-variable flag records
   where flooring happened.
 * b_gamma overflows any machine real for large n, so it is only ever carried
-  as log(b_gamma) and combined with other terms through log-sum-exp.
+  as log(b_gamma).  The fixed point in ``rcvb`` exponentiates it only as
+  exp(log b_gamma - offset_j) and exp(-log b_gamma), whose overflow to inf or
+  underflow to 0 gives the saturated update.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -105,7 +107,11 @@ class Dataset:
         X = _as_matrix(self.X)
         if X.shape[1] < 1:
             raise DataValidationError("dataset needs at least one variable (p >= 1)")
-        if not np.isfinite(X).all():
+        # A finite sum proves every cell finite, in one pass with no n-by-p
+        # temporary; only NaN, inf or a sum that overflows takes the cell scan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.einsum("ij->", X)
+        if not np.isfinite(total) and not np.isfinite(X).all():
             bad = np.argwhere(~np.isfinite(X))[0]
             raise DataValidationError(
                 f"non-finite value in X at row {bad[0]}, column {bad[1]}"
@@ -400,35 +406,46 @@ _XI_SERIES_CUTOFF = 10.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _xi_direct(v: float) -> float:
+    return math.lgamma(v) + v - v * math.log(v) - 0.5 * _LOG_2PI
+
+
+def _xi_series(x, log):
+    inv = 1.0 / x
+    inv2 = inv * inv
+    return (
+        -0.5 * log(x)
+        + inv * (1.0 / 12.0)
+        - inv * inv2 * (1.0 / 360.0)
+        + inv * inv2 * inv2 * (1.0 / 1260.0)
+        - inv * inv2 * inv2 * inv2 * (1.0 / 1680.0)
+    )
+
+
 def xi(x):
     """Stirling-corrected log-gamma: log Gamma(x) + x - x log x - (1/2) log(2 pi).
 
     Behaves like -(1/2) log x + 1/(12 x) for large x.  Evaluated through the
     asymptotic series above ``x >= 10`` to avoid the catastrophic
     cancellation of subtracting x log x from log Gamma(x) at large x.
-    Accepts scalars or arrays; the domain is x > 0.
+    Accepts scalars or arrays; the domain is x > 0.  A Python or numpy
+    scalar is evaluated with ``math`` alone, with no array made.
     """
+    if isinstance(x, (int, float, np.integer, np.floating)):
+        v = float(x)
+        if not (v > 0 and math.isfinite(v)):
+            raise DomainError("xi requires x > 0")
+        return _xi_direct(v) if v < _XI_SERIES_CUTOFF else _xi_series(v, math.log)
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0) or not np.isfinite(arr).all():
         raise DomainError("xi requires x > 0")
     small = arr < _XI_SERIES_CUTOFF
     out = np.empty_like(arr)
     if small.any():
-        xs = arr[small]
-        lgam = np.array([math.lgamma(v) for v in xs])
-        out[small] = lgam + xs - xs * np.log(xs) - 0.5 * _LOG_2PI
+        out[small] = [_xi_direct(v) for v in arr[small]]
     if (~small).any():
-        xl = arr[~small]
-        inv = 1.0 / xl
-        inv2 = inv * inv
-        out[~small] = (
-            -0.5 * np.log(xl)
-            + inv * (1.0 / 12.0)
-            - inv * inv2 * (1.0 / 360.0)
-            + inv * inv2 * inv2 * (1.0 / 1260.0)
-            - inv * inv2 * inv2 * inv2 * (1.0 / 1680.0)
-        )
-    if np.isscalar(x) or arr.ndim == 0:
+        out[~small] = _xi_series(arr[~small], np.log)
+    if arr.ndim == 0:
         return float(out)
     return out
 

@@ -20,6 +20,12 @@ model variants differ only in offset_j:
 * quadratic (VQDA):  (1/2) log(n1 n0 / 2) + xi(n1/2) + xi(n0/2) - xi(n/2)
                      - (3/2) log(n+1) + (1/2) lambda_qda_j
 
+One kernel, ``_batch_fixed_point``, runs this fixed point for both models,
+every cross-validation fold, every consistency cell and coupled prediction.
+It computes exp(log b_gamma - offset_j) once per run and then cycles with no
+exp or log at all: in ratio form the update is one sum, a few in-place
+multiply-adds and one divide per cycle (see its docstring).
+
 Classification plugs the converged w into a naive-Bayes discriminant,
 downweighting each variable by its selection probability.  One private
 scorer serves every rule, the public ``predict`` functions and
@@ -123,7 +129,8 @@ class Prediction:
 def _log_odds(x: np.ndarray, a: float, log_b: float) -> np.ndarray:
     # log(a + S_-i) - log(b + m - 1 - S_-i) for S_-i the sum of the other
     # m - 1 entries of x, with the second log assembled by log-sum-exp
-    # because b itself may overflow (b_gamma).  The residual count
+    # because b itself may overflow.  Only the coupled rule's score uses it,
+    # once after convergence; the cycles never take a log.  The residual count
     # m - S_-i - 1 is clipped at 0: it is nonnegative in exact arithmetic
     # and can only dip below through rounding of S_-i.
     s_minus = x.sum() - x
@@ -146,17 +153,41 @@ def _batch_fixed_point(
     cycles have run.  Returns the last iterate, the cycle count and the last
     squared step.  Selection runs it on w with (a_gamma, b_gamma); coupled
     prediction on the new labels with (a_y + n1, b_y + n0).
+
+    With A_i = a + S_-i and R_i = max(m - 1 - S_-i, 0) (clipped because only
+    the rounding of S_-i can take it below 0), the update is exactly
+
+        x_i <- A_i / (A_i + g_i (1 + R_i / b)),   g_i = exp(log b - offset_i),
+
+    so g is the run's one exponential and a cycle is a sum, a few in-place
+    multiply-adds into two work buffers and one divide, with no log or exp.
+    b and exp(-offset_i) may each overflow, but g_i (1 + R_i / b) is formed
+    only in this grouping: where g_i overflows the update is 0, the
+    saturated value, and never 0 * inf.
     """
-    x = x0
+    inv_b = math.exp(-log_b)
+    x = np.array(x0, dtype=np.float64)
+    nxt, step = np.empty_like(x), np.empty_like(x)
     delta = math.inf
     cycles = 0
-    for _ in range(h.max_cycles):
-        x_next = expit(_log_odds(x, a, log_b) + offset)
-        delta = float(np.sum((x_next - x) ** 2))
-        x = x_next
-        cycles += 1
-        if delta <= h.eps:
-            break
+    with np.errstate(over="ignore"):
+        g = np.exp(log_b - offset)
+        for _ in range(h.max_cycles):
+            np.subtract(x.sum(), x, out=nxt)  # S_-i
+            np.subtract(x.shape[0] - 1.0, nxt, out=step)
+            np.maximum(step, 0.0, out=step)  # R_i
+            step *= inv_b
+            step += 1.0
+            step *= g
+            nxt += a  # A_i
+            step += nxt
+            np.divide(nxt, step, out=nxt)
+            np.subtract(nxt, x, out=step)
+            delta = float(step @ step)
+            x, nxt = nxt, x
+            cycles += 1
+            if delta <= h.eps:
+                break
     return x, cycles, delta
 
 

@@ -200,7 +200,11 @@ def uniform_corr_sample(p: int, rho: float, n: int, seed):
     rng = _rng(seed)
     g = rng.standard_normal((n, 1))
     e = rng.standard_normal((n, p))
-    return np.sqrt(rho) * g + np.sqrt(1.0 - rho) * e
+    # Scaled and shifted in place: the same bits as sqrt(rho) g + sqrt(1-rho) e,
+    # since IEEE addition commutes, with no n-by-p temporary.
+    e *= np.sqrt(1.0 - rho)
+    e += np.sqrt(rho) * g
+    return e
 
 
 def _correlated_normals(s: SimSetting, n: int, rng: np.random.Generator):

@@ -18,13 +18,17 @@ from vbda import (
     expit,
     fit_vlda,
     fit_vqda,
+    generate,
+    log_b_gamma,
     predict,
     predict_coupled_vlda,
     predict_vlda,
     predict_vqda,
     select_variables,
+    setting_from_index,
 )
 from vbda import core
+from vbda.rcvb import _batch_fixed_point, _eta_offset
 
 from conftest import log_gaussian_density, make_balanced
 
@@ -47,6 +51,113 @@ def state_with_w(d: Dataset, w, model="vlda", h=None) -> FitState:
         hyper=h,
         columns=d.columns,
     )
+
+
+def reference_cycle(x, offset, a, log_b):
+    """One update of every x_i in its transcendental form:
+    expit[log(a + S_-i) - logaddexp(log b, log R_i) + offset_i] with
+    R_i = max(m - 1 - S_-i, 0)."""
+    s_minus = x.sum() - x
+    rest = np.maximum(x.shape[0] - s_minus - 1.0, 0.0)
+    with np.errstate(divide="ignore"):
+        log_denom = np.logaddexp(log_b, np.log(rest))
+    return expit(np.log(a + s_minus) - log_denom + offset)
+
+
+def reference_fixed_point(x0, offset, a, log_b, h):
+    """(x, cycles, delta) of ``reference_cycle`` iterated as the fit does."""
+    x, delta, cycles = x0, math.inf, 0
+    for _ in range(h.max_cycles):
+        x_next = reference_cycle(x, offset, a, log_b)
+        delta = float(np.sum((x_next - x) ** 2))
+        x, cycles = x_next, cycles + 1
+        if delta <= h.eps:
+            break
+    return x, cycles, delta
+
+
+def assert_close_to_reference(got, want):
+    # The kernel's tolerance: relative 1e-12, and 1e-300 absolute where the
+    # reference saturates to (nearly) 0.
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300)
+
+
+class TestFixedPointKernel:
+    """rcvb._batch_fixed_point: the update in its exp-free form against the
+    transcendental reference above."""
+
+    @pytest.mark.invariant
+    @given(
+        st.integers(1, 500).flatmap(lambda m: st.tuples(
+            st.lists(st.floats(-800.0, 800.0), min_size=m, max_size=m),
+            st.one_of(
+                st.just([1.0] * m),  # every R_i is 0
+                st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m),
+            ),
+        )),
+        st.floats(0.01, 1000.0),
+        st.floats(-5.0, 800.0),
+    )
+    def test_one_cycle_matches_reference(self, offset_x0, a, log_b):
+        offset, x0 = (np.array(v) for v in offset_x0)
+        got, cycles, _ = _batch_fixed_point(x0, offset, a, log_b,
+                                            Hyperparameters(max_cycles=1))
+        assert cycles == 1
+        assert_close_to_reference(got, reference_cycle(x0, offset, a, log_b))
+
+    def test_saturated_offsets_give_no_nan(self):
+        # exp(log b - offset) overflows at offset -800 and underflows at
+        # +800; with all x_i = 1 every R_i is 0, the case where a separate
+        # exp(-offset) would meet 0 * inf.
+        offset = np.array([-800.0, 800.0, -800.0, 0.0])
+        x0 = np.ones(4)
+        with np.errstate(invalid="raise", divide="raise"):
+            got = _batch_fixed_point(x0, offset, 1.0, 5.0, Hyperparameters(max_cycles=1))[0]
+        assert got[0] == got[2] == 0.0 and got[1] == 1.0
+        assert_close_to_reference(got, reference_cycle(x0, offset, 1.0, 5.0))
+
+    def test_residual_count_clipped_at_zero(self):
+        # The rounding of S_-0 takes m - 1 - S_-0 to -8.9e-16 here; at
+        # b = e^-30 and x_0 near 1/2 an unclipped count would move x_0 by 0.5%.
+        x0 = np.array([0.9600296219530348, 1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53, 1.0])
+        assert (x0.size - 1.0) - (x0.sum() - x0[0]) < 0.0
+        offset = np.full(5, -31.6)
+        got = _batch_fixed_point(x0, offset, 1.0, -30.0, Hyperparameters(max_cycles=1))[0]
+        assert_close_to_reference(got, reference_cycle(x0, offset, 1.0, -30.0))
+
+    @pytest.mark.parametrize("max_cycles", [1, 4, 9])
+    def test_one_exp_per_run_and_no_log(self, max_cycles, monkeypatch):
+        d = make_balanced(40, 300, seed=3, shift=1.0, k=10)
+        s = compute_stats(d)
+        args = (np.full(s.p, 0.5), _eta_offset("vqda", s), 1.0, log_b_gamma(s.n, s.p, 0.98, 1e-3))
+        calls = {}
+        for name in ("exp", "expm1", "exp2", "log", "log1p", "log2", "logaddexp"):
+            ufunc = getattr(np, name)
+
+            def spy(*a, _name=name, _ufunc=ufunc, **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _ufunc(*a, **kw)
+
+            monkeypatch.setattr(np, name, spy)
+        _, cycles, _ = _batch_fixed_point(*args, Hyperparameters(eps=1e-30, max_cycles=max_cycles))
+        assert cycles == max_cycles
+        assert calls == {"exp": 1}
+
+    @pytest.mark.parametrize("model", ["vlda", "vqda"])
+    def test_settings_match_reference_fixed_point(self, model):
+        # Settings 1-16: the same cycle count and selection as the
+        # transcendental fixed point, and w within the kernel's tolerance.
+        h = Hyperparameters()
+        for index in range(1, 17):
+            d = generate(setting_from_index(index, p=200, n_valid=0, n_test=0, seed=index)).train
+            f = (fit_vlda if model == "vlda" else fit_vqda)(d, h)
+            s = f.stats
+            w, cycles, delta = reference_fixed_point(
+                np.full(s.p, h.w_init), _eta_offset(model, s), h.a_gamma,
+                log_b_gamma(s.n, s.p, h.r, h.kappa), h)
+            assert (f.cycles_run, f.converged) == (cycles, delta <= h.eps), index
+            np.testing.assert_array_equal(select_variables(f), np.flatnonzero(w > h.c_w))
+            assert_close_to_reference(f.w, w)
 
 
 class TestFit:

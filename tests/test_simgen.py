@@ -1,6 +1,7 @@
 """Generator checks: determinism, split handling, and Monte Carlo shape
 of the injected correlation structures."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -232,6 +233,24 @@ class TestCorrelationStructures:
         off = c[~np.eye(5, dtype=bool)]
         np.testing.assert_allclose(off, 0.8, atol=0.01)
         np.testing.assert_allclose(z.var(axis=0), 1.0, atol=0.02)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8, 0.999])
+    def test_uniform_values_and_peak(self, rho):
+        # The in-place scale and shift keep every bit of the two-term formula
+        # on the same draws, and hold one n-by-p matrix instead of three.
+        rng = np.random.default_rng(11)
+        g, e = rng.standard_normal((40, 1)), rng.standard_normal((40, 30))
+        want = np.sqrt(rho) * g + np.sqrt(1.0 - rho) * e
+        got = uniform_corr_sample(30, rho, 40, np.random.default_rng(11))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        uniform_corr_sample(20000, rho, 5, seed=0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            uniform_corr_sample(20000, rho, 50, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (50 * 20000 * 8)
 
     def test_sampler_domain_errors(self):
         with pytest.raises(DataValidationError):
