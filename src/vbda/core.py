@@ -107,11 +107,7 @@ class Dataset:
         X = _as_matrix(self.X)
         if X.shape[1] < 1:
             raise DataValidationError("dataset needs at least one variable (p >= 1)")
-        # A finite sum proves every cell finite, in one pass with no n-by-p
-        # temporary; only NaN, inf or a sum that overflows takes the cell scan.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.einsum("ij->", X)
-        if not np.isfinite(total) and not np.isfinite(X).all():
+        if not np.isfinite(X).all():
             bad = np.argwhere(~np.isfinite(X))[0]
             raise DataValidationError(
                 f"non-finite value in X at row {bad[0]}, column {bad[1]}"
@@ -406,15 +402,15 @@ _XI_SERIES_CUTOFF = 10.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _xi_direct(v: float) -> float:
-    return math.lgamma(v) + v - v * math.log(v) - 0.5 * _LOG_2PI
-
-
-def _xi_series(x, log):
-    inv = 1.0 / x
+def _xi(v: float) -> float:
+    if not (v > 0 and math.isfinite(v)):
+        raise DomainError("xi requires x > 0")
+    if v < _XI_SERIES_CUTOFF:
+        return math.lgamma(v) + v - v * math.log(v) - 0.5 * _LOG_2PI
+    inv = 1.0 / v
     inv2 = inv * inv
     return (
-        -0.5 * log(x)
+        -0.5 * math.log(v)
         + inv * (1.0 / 12.0)
         - inv * inv2 * (1.0 / 360.0)
         + inv * inv2 * inv2 * (1.0 / 1260.0)
@@ -428,26 +424,13 @@ def xi(x):
     Behaves like -(1/2) log x + 1/(12 x) for large x.  Evaluated through the
     asymptotic series above ``x >= 10`` to avoid the catastrophic
     cancellation of subtracting x log x from log Gamma(x) at large x.
-    Accepts scalars or arrays; the domain is x > 0.  A Python or numpy
-    scalar is evaluated with ``math`` alone, with no array made.
+    Accepts scalars or arrays; the domain is x > 0.  Each value is evaluated
+    with ``math`` alone; an array is mapped element by element.
     """
-    if isinstance(x, (int, float, np.integer, np.floating)):
-        v = float(x)
-        if not (v > 0 and math.isfinite(v)):
-            raise DomainError("xi requires x > 0")
-        return _xi_direct(v) if v < _XI_SERIES_CUTOFF else _xi_series(v, math.log)
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 0) or not np.isfinite(arr).all():
-        raise DomainError("xi requires x > 0")
-    small = arr < _XI_SERIES_CUTOFF
-    out = np.empty_like(arr)
-    if small.any():
-        out[small] = [_xi_direct(v) for v in arr[small]]
-    if (~small).any():
-        out[~small] = _xi_series(arr[~small], np.log)
     if arr.ndim == 0:
-        return float(out)
-    return out
+        return _xi(float(arr))
+    return np.array([_xi(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
 def lambda_lrt_lda(s: VariableStats, n: int):
