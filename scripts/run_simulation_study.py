@@ -68,7 +68,7 @@ def main():
     if args.delta_sigma is not None:
         overrides["delta_sigma"] = args.delta_sigma
 
-    rows = []
+    rows = [("setting", "model", "rep", "error", "mcc", "selected")]
     summary = {}
     for index in parse_settings(args.settings):
         setting = setting_from_index(index, **overrides)
@@ -79,14 +79,11 @@ def main():
                 rep = generate(replace(setting, seed=derive_seed(args.seed, index, rep_i)))
                 f = fitter(rep.train, h)
                 err = classification_error(predict(f, rep.test).labels, rep.test.y)
-                quality = mcc(select_variables(f), rep.gamma_true)
+                selected = select_variables(f)
+                quality = mcc(selected, rep.gamma_true)
                 errs.append(err)
                 mccs.append(quality)
-                rows.append({
-                    "setting": index, "model": model, "rep": rep_i,
-                    "error": err, "mcc": quality,
-                    "selected": len(select_variables(f)),
-                })
+                rows.append((index, model, rep_i, err, quality, len(selected)))
             summary[(index, model)] = (
                 float(np.median(errs)), float(np.median(mccs)),
                 time.perf_counter() - t0,
@@ -96,14 +93,13 @@ def main():
                   f"median mcc {q:.3f}  ({secs:.1f}s)")
 
     os.makedirs(args.out_dir, exist_ok=True)
-    write_tsv(rows, os.path.join(args.out_dir, "study.tsv"),
-              ("setting", "model", "rep", "error", "mcc", "selected"))
+    write_tsv(rows, os.path.join(args.out_dir, "study.tsv"))
     write_json(
         {f"{i}:{m}": {"median_error": e, "median_mcc": q}
          for (i, m), (e, q, _) in summary.items()},
         os.path.join(args.out_dir, "study_summary.json"),
     )
-    print(f"wrote {len(rows)} rows -> {args.out_dir}/study.tsv")
+    print(f"wrote {len(rows) - 1} rows -> {args.out_dir}/study.tsv")
     return 0
 
 

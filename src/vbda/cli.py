@@ -46,7 +46,7 @@ from .dataio import (
 )
 from .evalharness import consistency_experiment, kfold_cv
 from .oracle import exact_posterior
-from .rcvb import _FITTERS, predict
+from .rcvb import _FITTERS, predict, select_variables
 from .simgen import SimSetting, generate, setting_from_index
 
 __all__ = ["main", "build_parser"]
@@ -104,15 +104,14 @@ def cmd_fit(args) -> int:
     f = _FITTERS[args.model](d, h)
     out = _out_dir(args)
     save_state(f, os.path.join(out, "fit_state.json"))
-    rows = selection_rows(f)
-    write_tsv(rows, os.path.join(out, "selection.tsv"), ("variable_id", "w", "selected"))
+    write_tsv(selection_rows(f), os.path.join(out, "selection.tsv"))
     names = _column_names(f.columns, f.p)
     diagnostics = {
         "cycles_run": f.cycles_run,
         "converged": f.converged,
         "final_delta": f.final_delta,
         "floored_variables": [names[j] for j in np.flatnonzero(f.stats.floored)],
-        "selected_count": int(sum(r["selected"] for r in rows)),
+        "selected_count": len(select_variables(f)),
     }
     write_json(diagnostics, os.path.join(out, "fit_diagnostics.json"))
     if not f.converged:
@@ -135,11 +134,10 @@ def cmd_predict(args) -> int:
     h = _hyper_from_args(args, base=f.hyper)
     pred = predict(f, aligned, h, coupled=args.coupled)
     out = _out_dir(args)
-    rows = prediction_rows(pred)
-    write_tsv(rows, os.path.join(out, "predictions.tsv"), ("row_id", "y_tilde", "label"))
+    write_tsv(prediction_rows(pred), os.path.join(out, "predictions.tsv"))
     if not pred.converged:
         print("warning: coupled label updates did not converge", file=sys.stderr)
-    print(f"predicted {len(rows)} rows with {f.model} -> {out}")
+    print(f"predicted {pred.y_tilde.size} rows with {f.model} -> {out}")
     return 0
 
 
@@ -189,15 +187,9 @@ def cmd_cv(args) -> int:
         coupled=args.coupled,
     )
     out = _out_dir(args)
-    rows = [
-        {
-            "rep": i,
-            "misclassified": r.misclassified,
-            "error": r.error,
-        }
-        for i, r in enumerate(report.reps)
-    ]
-    write_tsv(rows, os.path.join(out, "cv_report.tsv"), ("rep", "misclassified", "error"))
+    rows = [("rep", "misclassified", "error"),
+            *((i, r.misclassified, r.error) for i, r in enumerate(report.reps))]
+    write_tsv(rows, os.path.join(out, "cv_report.tsv"))
     med = float(np.median(report.errors))
     print(f"cv {args.model}: k={args.k}, reps={args.reps}, median error {med:.4f} -> {out}")
     return 0
@@ -212,30 +204,21 @@ def cmd_consistency(args) -> int:
     h = _hyper_from_args(args)
     result = consistency_experiment(s, ns, args.reps, h=h, seed=args.seed, model=args.model)
     out = _out_dir(args)
-    rows = []
-    for tag, curve in (("tau1", result.at_tau1), ("converged", result.at_convergence)):
+    fields = ("E", "e0", "e1", "fp", "fn")
+    curves = (("tau1", result.at_tau1), ("converged", result.at_convergence))
+    rows = [("variant", "n", "rep", *fields)]
+    for tag, curve in curves:
         for i, n in enumerate(curve.ns):
-            for rep in range(args.reps):
-                rows.append(
-                    {
-                        "variant": tag,
-                        "n": n,
-                        "rep": rep,
-                        "E": float(curve.E[i, rep]),
-                        "e0": float(curve.e0[i, rep]),
-                        "e1": float(curve.e1[i, rep]),
-                        "fp": int(curve.fp[i, rep]),
-                        "fn": int(curve.fn[i, rep]),
-                    }
-                )
-    write_tsv(rows, os.path.join(out, "consistency.tsv"),
-              ("variant", "n", "rep", "E", "e0", "e1", "fp", "fn"))
+            cells = zip(curve.E[i].tolist(), curve.e0[i].tolist(), curve.e1[i].tolist(),
+                        curve.fp[i].astype(int).tolist(), curve.fn[i].astype(int).tolist())
+            rows.extend((tag, n, rep, *c) for rep, c in enumerate(cells))
+    write_tsv(rows, os.path.join(out, "consistency.tsv"))
     medians = {
         tag: {
-            str(n): {f: float(curve.median(f)[i]) for f in ("E", "e0", "e1", "fp", "fn")}
+            str(n): {f: float(curve.median(f)[i]) for f in fields}
             for i, n in enumerate(curve.ns)
         }
-        for tag, curve in (("tau1", result.at_tau1), ("converged", result.at_convergence))
+        for tag, curve in curves
     }
     write_json(medians, os.path.join(out, "consistency.json"))
     med_e = medians["converged"][str(ns[-1])]["E"]
@@ -255,12 +238,9 @@ def cmd_oracle(args) -> int:
     h = _hyper_from_args(args)
     ep = exact_posterior(d, aligned.X[0], h, model=args.model)
     out = _out_dir(args)
-    names = _column_names(d.columns, d.p)
-    rows = [
-        {"variable_id": names[j], "marginal": float(ep.gamma_marginals[j])}
-        for j in range(d.p)
-    ]
-    write_tsv(rows, os.path.join(out, "oracle.tsv"), ("variable_id", "marginal"))
+    rows = [("variable_id", "marginal"),
+            *zip(_column_names(d.columns, d.p), ep.gamma_marginals.tolist())]
+    write_tsv(rows, os.path.join(out, "oracle.tsv"))
     write_json(
         {
             "model": args.model,
@@ -299,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--state", required=True, help="fit_state.json path")
     p_pred.add_argument("--data", required=True, help="CSV of rows to score")
     p_pred.add_argument("--label", default=None,
-                        help="label column to ignore in --data, if present")
+                        help="label column of --data to drop before scoring; "
+                             "it must be present")
     p_pred.add_argument("--coupled", action="store_true",
                         help="couple the scored rows through the shared label-frequency posterior")
     common(p_pred, model=False)

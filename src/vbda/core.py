@@ -35,6 +35,7 @@ All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,9 @@ class Dataset:
                 raise DataValidationError(
                     f"{len(cols)} column names for {X.shape[1]} columns"
                 )
+            if len(set(cols)) != len(cols):
+                dup = next(name for i, name in enumerate(cols) if name in cols[:i])
+                raise DataValidationError(f"duplicate column name {dup!r}")
             object.__setattr__(self, "columns", cols)
 
     @property
@@ -217,7 +221,11 @@ class Hyperparameters:
                 raise DomainError(f"{name} must lie in (0, 1), got {v}")
         if not self.eps > 0:
             raise DomainError(f"eps must be positive, got {self.eps}")
-        if self.max_cycles < 1:
+        try:
+            max_cycles = operator.index(self.max_cycles)  # any integer type
+        except TypeError:
+            max_cycles = 0  # not an integer: rejected below
+        if max_cycles < 1:
             raise DomainError("max_cycles must be a positive integer")
         if not self.variance_floor > 0:
             raise DomainError("variance_floor must be positive")

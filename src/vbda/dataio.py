@@ -317,35 +317,30 @@ def align_to_columns(d: Dataset, columns: tuple[str, ...] | None) -> Dataset:
     return Dataset(d.X[:, order], d.y, columns=tuple(columns))
 
 
-def selection_rows(f: FitState) -> list[dict]:
-    """One record per variable: (variable_id, w, selected)."""
+def selection_rows(f: FitState) -> list[tuple]:
+    """The selection table, header first: (variable_id, w, selected), one row
+    per variable."""
     selected = np.zeros(f.p, dtype=np.int8)
     selected[select_variables(f)] = 1
     names = _column_names(f.columns, f.p)
-    return [
-        {"variable_id": name, "w": w, "selected": sel}
-        for name, w, sel in zip(names, f.w.tolist(), selected.tolist())
-    ]
+    return [("variable_id", "w", "selected"),
+            *zip(names, f.w.tolist(), selected.tolist())]
 
 
-def prediction_rows(pred: Prediction) -> list[dict]:
-    """One record per scored observation: (row_id r1, r2, ..., y_tilde, label)."""
-    return [
-        {"row_id": f"r{i + 1}", "y_tilde": float(pred.y_tilde[i]),
-         "label": int(pred.labels[i])}
-        for i in range(pred.y_tilde.size)
-    ]
+def prediction_rows(pred: Prediction) -> list[tuple]:
+    """The prediction table, header first: (row_id r1, r2, ..., y_tilde,
+    label), one row per scored observation."""
+    ids = [f"r{i}" for i in range(1, pred.y_tilde.size + 1)]
+    return [("row_id", "y_tilde", "label"),
+            *zip(ids, pred.y_tilde.tolist(), pred.labels.tolist())]
 
 
-def write_tsv(rows: list[dict], path, header: tuple[str, ...]) -> None:
-    """Tab-separated report with an explicit header; floats keep full precision."""
+def write_tsv(rows, path) -> None:
+    """Tab-separated table, header row first.  A float cell (a Python float or
+    ``np.float64``) is written as its ``str``, which equals its repr, so it
+    keeps full precision."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(
-            [repr(float(row[k])) if isinstance(row[k], float) else row[k] for k in header]
-            for row in rows
-        )
+        csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(rows)
 
 
 def write_json(obj, path) -> None:

@@ -133,6 +133,12 @@ class TestDataset:
         with pytest.raises(DataValidationError):
             Dataset(X_HAND, Y_HAND, columns=("a", "b"))
 
+    def test_rejects_duplicate_column_names(self):
+        X = np.column_stack([X_HAND, X_HAND, -X_HAND])
+        with pytest.raises(DataValidationError, match="duplicate column name 'b'"):
+            Dataset(X, Y_HAND, columns=("b", "a", "b"))
+        assert Dataset(X, Y_HAND, columns=("b", "a", "c")).columns == ("b", "a", "c")
+
 
 class TestHyperparameters:
     def test_defaults_valid(self):
@@ -154,11 +160,15 @@ class TestHyperparameters:
             {"max_cycles": 0},
             {"variance_floor": 0.0},
             {"w_init": 1.5},
+            {"max_cycles": 2.5},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(DomainError):
             Hyperparameters(**kwargs)
+
+    def test_numpy_integer_max_cycles_allowed(self):
+        assert Hyperparameters(max_cycles=np.int64(3)).max_cycles == 3
 
     def test_zero_label_pseudocounts_allowed(self):
         h = Hyperparameters(a_y=0.0, b_y=0.0)

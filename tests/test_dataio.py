@@ -496,25 +496,23 @@ class TestReportRows:
         d = make_balanced(30, 3, seed=2, shift=4.0, k=1)
         d = Dataset(d.X, d.y, columns=("sig", "n1", "n2"))
         f = fit_vlda(d, Hyperparameters())
-        rows = selection_rows(f)
-        assert [r["variable_id"] for r in rows] == ["sig", "n1", "n2"]
-        assert rows[0]["selected"] == 1
-        assert all(isinstance(r["w"], float) for r in rows)
+        header, *rows = selection_rows(f)
+        assert header == ("variable_id", "w", "selected")
+        assert [name for name, _, _ in rows] == ["sig", "n1", "n2"]
+        assert rows[0][2] == 1
+        assert all(isinstance(w, float) for _, w, _ in rows)
 
     def test_prediction_rows_ids(self):
         d = make_balanced(20, 2, seed=3, shift=3.0, k=1)
         f = fit_vlda(d, Hyperparameters())
         pred = predict(f, d.X[:3])
-        rows = prediction_rows(pred)
-        assert [r["row_id"] for r in rows] == ["r1", "r2", "r3"]
+        header, *rows = prediction_rows(pred)
+        assert header == ("row_id", "y_tilde", "label")
+        assert [row_id for row_id, _, _ in rows] == ["r1", "r2", "r3"]
 
     def test_write_tsv_full_precision(self, tmp_path):
         path = tmp_path / "t.tsv"
-        write_tsv(
-            [{"id": "x", "w": 0.1234567890123456789}],
-            path,
-            header=("id", "w"),
-        )
+        write_tsv([("id", "w"), ("x", 0.1234567890123456789)], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "id\tw"
         assert float(lines[1].split("\t")[1]) == 0.1234567890123456789
@@ -533,21 +531,26 @@ class TestReportRows:
         assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
     def test_write_tsv_matches_row_writer(self, tmp_path):
-        rows = [
-            {"id": "plain", "w": np.float64(0.1) + np.float64(0.2), "flag": True, "k": 3},
-            {"id": "tab\there", "w": 1e-300, "flag": False, "k": np.int64(-7)},
-            {"id": 'quote"d', "w": np.float64(2.5), "flag": np.bool_(True), "k": 0},
-            {"id": "new\nline", "w": float("inf"), "flag": 1, "k": "text"},
-        ]
+        # The reference writer converts each float cell with repr(float(x))
+        # itself; write_tsv leaves that to csv, which writes str(x).
         header = ("id", "w", "flag", "k")
+        rows = [
+            ("plain", np.float64(0.1) + np.float64(0.2), True, 3),
+            ("tab\there", 1e-300, False, np.int64(-7)),
+            ('quote"d', np.float64(2.5), np.bool_(True), 0),
+            ("new\nline", float("inf"), 1, "text"),
+            *((f"edge{i}", v, False, i) for i, v in enumerate(
+                [5e-324, 1e16, 9.999999999999999e15, 1e-05, -0.0, float("nan"),
+                 np.float64(5e-324), np.float64(-0.0), np.float64("nan")])),
+        ]
         want = tmp_path / "want.tsv"
         with open(want, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow([repr(float(row[k])) if isinstance(row[k], float)
-                                 else row[k] for k in header])
+                writer.writerow([repr(float(x)) if isinstance(x, float) else x
+                                 for x in row])
         got = tmp_path / "got.tsv"
-        write_tsv(rows, got, header)
+        write_tsv([header, *rows], got)
         assert got.read_bytes() == want.read_bytes()
         assert "0.30000000000000004" in got.read_text(encoding="utf-8")
