@@ -88,6 +88,17 @@ def _column_names(columns: tuple[str, ...] | None, p: int) -> tuple[str, ...]:
     return columns or tuple(f"v{j + 1}" for j in range(p))
 
 
+def _first_duplicate(names):
+    """The first name that repeats an earlier one, or None, in O(len(names))."""
+    if len(set(names)) == len(names):
+        return None
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n-by-p data matrix with optional binary group labels.
@@ -133,8 +144,8 @@ class Dataset:
                 raise DataValidationError(
                     f"{len(cols)} column names for {X.shape[1]} columns"
                 )
-            if len(set(cols)) != len(cols):
-                dup = next(name for i, name in enumerate(cols) if name in cols[:i])
+            dup = _first_duplicate(cols)
+            if dup is not None:
                 raise DataValidationError(f"duplicate column name {dup!r}")
             object.__setattr__(self, "columns", cols)
 

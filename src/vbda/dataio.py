@@ -1,11 +1,12 @@
 """CSV ingestion and fit-state persistence.
 
 CSV files carry a mandatory header row and an optional 0/1 label column.
-A cell is accepted exactly when Python ``float()`` parses it (features must
-also be finite).  The body below the header is parsed in one numpy pass; a
-file that pass cannot take exactly, or that has a bad cell, is parsed again
-by the row-by-row fallback, which is exact and names the offending row and
-column (header is row 1).
+A cell is accepted exactly when it is ASCII text with no underscore and
+Python ``float()`` parses it (features must also be finite), so a mistyped
+``1_0`` is an error, not ten.  The body below the header is parsed in one
+numpy pass; a file that pass cannot take exactly, or that has a bad cell, is
+parsed again by the row-by-row fallback, which is exact and names the
+offending row and column (header is row 1).
 
 Fit states persist as schema-versioned JSON with full float precision
 (repr round-trip), so save -> load -> save is byte-identical.  A state is
@@ -30,6 +31,7 @@ from .core import (
     Hyperparameters,
     VariableStats,
     _column_names,
+    _first_duplicate,
 )
 from .rcvb import FitState, Prediction, select_variables
 
@@ -64,9 +66,11 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     """Read a header-first CSV into a Dataset, optionally peeling off a 0/1
     label column by name.  Errors name the offending row and column.
 
-    A cell is accepted exactly when Python ``float()`` parses it.  The body is
-    parsed in one ``np.loadtxt`` pass, which rounds each cell as ``float()``
-    does and accepts a strict subset of what it accepts.  Whenever that pass
+    A cell is accepted exactly when it is ASCII text with no underscore and
+    Python ``float()`` parses it.  A body of such text is parsed in one
+    ``np.loadtxt`` pass, which rounds each cell as ``float()`` does and
+    accepts a subset of what it accepts (that subset holds non-ASCII text
+    such as a no-break space, so no other body reaches it).  Whenever that pass
     fails or its result is not exactly the rows, width, finite values and 0/1
     labels the file must have, the body is parsed again row by row with
     ``csv.reader`` and ``float()``; that exact fallback accepts what only
@@ -79,8 +83,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataValidationError(f"{path}: empty file, expected a header row") from None
-        if len(set(header)) != len(header):
-            dup = next(name for i, name in enumerate(header) if name in header[:i])
+        dup = _first_duplicate(header)
+        if dup is not None:
             raise DataValidationError(f"{path}: duplicate header name {dup!r}")
         if label_column is not None and label_column not in header:
             raise DataValidationError(
@@ -102,14 +106,17 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 
 
 def _parse_body(body: str, width: int, label_idx) -> np.ndarray | None:
-    """The whole body in one ``np.loadtxt`` pass, or None unless that gives
-    one row of ``width`` finite values, with a 0/1 label, per line.
+    """The whole body in one ``np.loadtxt`` pass, or None unless the body is
+    ASCII with no underscore and that pass gives one row of ``width`` finite
+    values, with a 0/1 label, per line.
 
     The lines reach ``loadtxt`` one at a time, so no list of them is held
     beside the body.  A blank line is refused by a first pass, before
     ``loadtxt``, which would skip it (and warn if no line were left); a bare
     CR within a line makes ``loadtxt`` raise.  Either way the file goes to the
     row-by-row fallback."""
+    if not _plain(body):
+        return None
     count = 0
     for line in _lines(body):
         if not line or line.isspace():
@@ -129,6 +136,12 @@ def _parse_body(body: str, width: int, label_idx) -> np.ndarray | None:
     return X
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII with no underscore: the only characters a
+    cell may hold, though ``float()`` takes more."""
+    return text.isascii() and "_" not in text
+
+
 def _lines(body: str):
     """The lines of ``body``, split at LF alone, one at a time: the pieces of
     ``body.split(LF)`` without the empty piece after a final LF."""
@@ -143,9 +156,10 @@ def _lines(body: str):
 
 def _parse_rows(path, header, label_idx, body: str) -> np.ndarray:
     """The exact fallback: each ``csv.reader`` row of the body is converted
-    with one numpy cast, which calls ``float()`` per cell; a row the cast or
-    the finite/label checks reject is rescanned cell by cell to name its first
-    bad cell (header is row 1)."""
+    with one numpy cast, which calls ``float()`` per cell; a row with a
+    non-ASCII character or an underscore, or that the cast or the finite/label
+    checks reject, is rescanned cell by cell to name its first bad cell
+    (header is row 1)."""
     rows: list[np.ndarray] = []
     # newline="" keeps a bare CR a line ending for csv.reader.
     reader = csv.reader(io.StringIO(body, newline=""))
@@ -155,7 +169,7 @@ def _parse_rows(path, header, label_idx, body: str) -> np.ndarray:
                 f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
             )
         try:
-            values = np.array(row, dtype=np.float64)
+            values = np.array(row, dtype=np.float64) if _plain("".join(row)) else None
         except ValueError:
             values = None
         if (
@@ -172,14 +186,17 @@ def _parse_rows(path, header, label_idx, body: str) -> np.ndarray:
 
 def _scan_row(path, header, row_no, row, label_idx) -> list[float]:
     """Parse one CSV row cell by cell with ``float()``, left to right, and
-    raise for the first bad cell (blank, unparsable, non-finite feature, or a
-    label other than 0/1).  Returns the row's values if every cell passes."""
+    raise for the first bad cell (blank, non-ASCII, holding an underscore,
+    unparsable, non-finite feature, or a label other than 0/1).  Returns the
+    row's values if every cell passes."""
     values = []
     for col_idx, cell in enumerate(row):
         where = f"{path}: row {row_no}, column {header[col_idx]!r}"
         if cell.strip() == "":
             raise DataValidationError(f"{where}: missing value")
         try:
+            if not _plain(cell):
+                raise ValueError(cell)
             value = float(cell)
         except ValueError:
             raise DataValidationError(
@@ -265,7 +282,7 @@ def save_state(f: FitState, path) -> None:
 def load_state(path) -> FitState:
     """Inverse of save_state; rejects unknown schema versions and corrupt files,
     including statistics of the wrong length, non-finite values, nonpositive
-    variances and inconsistent group counts."""
+    variances, inconsistent group counts and a column named twice."""
     with _read_utf8(path) as fh:
         try:
             doc = json.load(fh)

@@ -21,10 +21,13 @@ variables, E = e0 + e1, plus hard false-positive/negative counts at the
 selection threshold, as the training size grows.  Curves are recorded both
 after a single update cycle and at convergence, since the consistency
 guarantee holds for any cycle count >= 1 and the two can differ in practice.
-Each replicate is drawn bare (``simgen._draw``: no names, no split), reduced
-to its statistics and then to its ten numbers before the next is drawn, and
-both curves come from one fixed point: the single-cycle iterate is where the
-converged fit continues from.
+Each replicate is reduced to its statistics and then to its ten numbers
+before the next is drawn, and both curves come from one fixed point: the
+single-cycle iterate is where the converged fit continues from.  Under
+independence the statistics are drawn from their exact laws
+(``simgen._draw_moments``), in O(p) at any n; a correlated setting is drawn
+as data (``simgen._draw``: no names, no split), since its variables are
+coupled.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .core import (
     compute_stats,
 )
 from .rcvb import _FITTERS, _fit, _rule, _score, select_variables
-from .simgen import SimSetting, _draw, _signal_mask, derive_seed
+from .simgen import SimSetting, _draw, _draw_moments, _signal_mask, derive_seed
 
 __all__ = [
     "EvalReport",
@@ -227,7 +230,7 @@ def kfold_cv(
         confusion = np.zeros(4, dtype=float)
         for fold, stats in enumerate(_fold_stats(d.X, d.y, folds, k, h.variance_floor)):
             test_idx = np.flatnonzero(folds == fold)
-            f = _fit(stats, h, model, d.columns)
+            f = _fit(stats, h, model)
             pred = _score(f, d, h, rule, rows=test_idx)
             total_wrong += int(np.sum(pred.labels != d.y[test_idx].astype(bool)))
             if truth is not None:
@@ -322,8 +325,11 @@ def _consistency_cell(s: SimSetting, h: Hyperparameters, model: str,
     """(E, e0, e1, fp, fn) after one cycle and at convergence for one fresh
     draw of ``s``.  The draw has no names and lives only in this call, so no
     replicate is held while the next is drawn."""
-    X, y, _, _ = _draw(s)
-    stats = compute_stats(Dataset(X, y), h.variance_floor)
+    if s.cov_spec == "independence":
+        stats = _stats_from_moments(*_draw_moments(s), h.variance_floor)
+    else:
+        X, y, _, _ = _draw(s)
+        stats = compute_stats(Dataset(X, y), h.variance_floor)
     f = _fit(stats, replace(h, max_cycles=1), model)
     out = [_selection_errors(f.w, truth, h.c_w)]
     if not f.converged and h.max_cycles > 1:

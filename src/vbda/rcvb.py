@@ -48,6 +48,7 @@ from .core import (
     Dataset,
     Hyperparameters,
     VariableStats,
+    _first_duplicate,
     _tiles,
     compute_stats,
     expit,
@@ -99,8 +100,12 @@ class FitState:
             )
         if not np.all((w >= 0.0) & (w <= 1.0)):
             raise DataValidationError("w entries must lie in [0, 1]")
-        if self.columns is not None and len(self.columns) != w.shape[0]:
-            raise DataValidationError("columns length does not match w")
+        if self.columns is not None:
+            if len(self.columns) != w.shape[0]:
+                raise DataValidationError("columns length does not match w")
+            dup = _first_duplicate(self.columns)
+            if dup is not None:
+                raise DataValidationError(f"duplicate column name {dup!r}")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 

@@ -17,7 +17,9 @@ regime where the quadratic model should win.
 ``generate`` wraps the private ``_draw``, which makes every random draw of a
 replicate and returns the bare matrix and labels; ``generate`` splits them
 into Datasets named v1..vp.  The consistency experiment calls ``_draw``
-itself, so its replicates build no names.
+itself, so its replicates build no names.  Under independence it calls
+``_draw_moments`` instead, which draws the training split's group moments
+from their exact laws, with no data.
 """
 
 from __future__ import annotations
@@ -218,6 +220,36 @@ def _correlated_normals(s: SimSetting, n: int, rng: np.random.Generator):
     return uniform_corr_sample(s.p, rho, n, rng)
 
 
+def _means_and_scales(s: SimSetting, rng: np.random.Generator):
+    """``(mu1, sigma0)``: the group-1 means and the group-0 standard deviations
+    of ``s``.  Under mean spec s4 the signal means are drawn from ``rng``."""
+    signal = slice(0, s.p1)
+    mu1 = np.zeros(s.p)
+    if s.mean_spec == "custom":
+        mu1[signal] = s.signal_mean
+    elif s.mean_spec == "s4":
+        mu1[signal] = rng.normal(_S4_MEAN, _S4_SD, size=s.p1)
+    else:
+        mu1[signal] = MEAN_SPECS[s.mean_spec][1]
+    sigma0 = np.ones(s.p)
+    sigma0[signal] += s.delta_sigma
+    return mu1, sigma0
+
+
+def _redraw_labels(draw, n1_of, n_train: int):
+    """``draw()`` again until ``n1_of`` of its result puts at least two of the
+    ``n_train`` training rows in each group; raises after
+    ``_MAX_LABEL_REDRAWS`` attempts."""
+    for _ in range(_MAX_LABEL_REDRAWS):
+        labels = draw()
+        if 2 <= n1_of(labels) <= n_train - 2:
+            return labels
+    raise DataValidationError(
+        f"could not draw a training split with two observations per group "
+        f"in {_MAX_LABEL_REDRAWS} attempts (n_train={n_train})"
+    )
+
+
 def _draw(s: SimSetting):
     """The random part of :func:`generate`: labels for all three splits (with
     redraws), then the correlated matrix with its mean and scale shifts.
@@ -226,36 +258,47 @@ def _draw(s: SimSetting):
     calls in the same order as ``generate``, which wraps them.
     """
     rng = np.random.default_rng(s.seed)
-    p1 = s.p1
-    signal = np.arange(p1)
-    mu1 = np.zeros(s.p)
-    if s.mean_spec == "custom":
-        mu1[signal] = s.signal_mean
-    elif s.mean_spec == "s4":
-        mu1[signal] = rng.normal(_S4_MEAN, _S4_SD, size=p1)
-    else:
-        mu1[signal] = MEAN_SPECS[s.mean_spec][1]
-    sigma0 = np.ones(s.p)
-    sigma0[signal] += s.delta_sigma
-
+    mu1, sigma0 = _means_and_scales(s, rng)
     total = s.n_train + s.n_valid + s.n_test
-    for attempt in range(_MAX_LABEL_REDRAWS):
-        y = rng.integers(0, 2, size=total)
-        y_train = y[: s.n_train]
-        if 2 <= y_train.sum() <= s.n_train - 2:
-            break
-    else:
-        raise DataValidationError(
-            f"could not draw a training split with two observations per group "
-            f"in {_MAX_LABEL_REDRAWS} attempts (n_train={s.n_train})"
-        )
+    y = _redraw_labels(lambda: rng.integers(0, 2, size=total),
+                       lambda y: y[: s.n_train].sum(), s.n_train)
 
     X = _correlated_normals(s, total, rng)
     is0 = y == 0
+    signal = np.arange(s.p1)
     if s.delta_sigma > 0:
         X[np.ix_(is0, signal)] *= sigma0[signal]
     X[np.ix_(~is0, signal)] += mu1[signal]
     return X, y, mu1, sigma0
+
+
+def _draw_moments(s: SimSetting):
+    """The training split's group moments under independence, drawn from their
+    exact laws with no data: ``(centers, m0, m1)`` for
+    ``core._stats_from_moments``, in O(p) time and memory at any n.
+
+    The group-1 count n1 is Binomial(n, 1/2), redrawn as ``_draw`` redraws
+    its labels.  Given n1, group g's column means are
+    N(mu_g, sigma_g^2 / n_g), and its sums of squares about them,
+    Q_g = sigma_g^2 chi^2_{n_g - 1}, are independent of the means; the sums
+    about the centers are S_g = 0.  So the statistics have the law of
+    ``compute_stats`` on a ``_draw`` of an independence setting, though not
+    its values.  The splits other than training are not drawn.
+    """
+    rng = np.random.default_rng(s.seed)
+    mu1, sigma0 = _means_and_scales(s, rng)
+    n = s.n_train
+    n1 = _redraw_labels(lambda: int(rng.binomial(n, 0.5)), int, n)
+    counts = np.array([[n - n1], [n1]])
+    # Group 0 has mean 0 and group 1 unit scale, so each takes one update.
+    centers = rng.standard_normal((2, s.p))
+    centers[0] *= sigma0
+    centers /= np.sqrt(counts)
+    centers[1] += mu1
+    Q = rng.chisquare(counts - 1, size=(2, s.p))
+    Q[0] *= sigma0 * sigma0
+    zero = np.zeros(s.p)
+    return centers, (n - n1, zero, Q[0]), (n1, zero, Q[1])
 
 
 def _signal_mask(s: SimSetting) -> np.ndarray:

@@ -8,6 +8,7 @@ pooled 67/28, group-1 variance 35/16.
 """
 
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -138,6 +139,15 @@ class TestDataset:
         with pytest.raises(DataValidationError, match="duplicate column name 'b'"):
             Dataset(X, Y_HAND, columns=("b", "a", "b"))
         assert Dataset(X, Y_HAND, columns=("b", "a", "c")).columns == ("b", "a", "c")
+
+    def test_late_duplicate_found_in_linear_time(self):
+        # A search of each name's predecessors took 15 s at p = 40000.
+        p = 100000
+        names = tuple(f"c{j}" for j in range(p - 1)) + (f"c{p - 2}",)
+        t0 = time.perf_counter()
+        with pytest.raises(DataValidationError, match=f"duplicate column name 'c{p - 2}'"):
+            Dataset(np.zeros((1, p)), columns=names)
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestHyperparameters:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -134,12 +135,21 @@ class TestLoadCsv:
             load_csv(path, label_column="label")
 
     def test_cells_parse_exactly_as_float(self, tmp_path):
-        cells = [" 2 ", "1_0", "-0", "1e-320", "+1.5e3", "0.1234567890123456789", "3.25"]
+        cells = [" 2 ", "-0", "1e-320", "+1.5e3", "0.1234567890123456789", "3.25"]
         header = ",".join(f"c{j}" for j in range(len(cells)))
         row = ",".join(cells[:-1]) + ',"3.25"'
         d = load_csv(write(tmp_path / "t.csv", f"{header}\n{row}\n"))
         expected = np.array([[float(c) for c in cells]])
         np.testing.assert_array_equal(d.X.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "2\u00a0", "-1_000.5"])
+    def test_underscore_or_non_ascii_cell_rejected(self, tmp_path, cell):
+        # float() accepts each of these (1_0 as ten); np.loadtxt takes "2\xa0".
+        float(cell)
+        path = write(tmp_path / "u.csv", f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(DataValidationError,
+                           match=re.escape(f"row 3, column 'b': could not parse {cell!r}")):
+            load_csv(path)
 
     def test_first_bad_cell_named(self, tmp_path):
         path = write(tmp_path / "fb.csv", "a,b\nx,inf\n")
@@ -174,8 +184,9 @@ class TestLoadCsv:
 
 def reference_load(path, label_column):
     """``load_csv``'s contract, written plainly: every ``csv.reader`` row,
-    ``float()`` per cell, then the finite and 0/1 label checks.  Returns
-    (X, y, columns), or None where ``load_csv`` must raise."""
+    ``float()`` per cell that is ASCII with no underscore, then the finite
+    and 0/1 label checks.  Returns (X, y, columns), or None where
+    ``load_csv`` must raise."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -190,6 +201,8 @@ def reference_load(path, label_column):
     X = []
     for row in body:
         if len(row) != len(header):
+            return None
+        if not all(cell.isascii() and "_" not in cell for cell in row):
             return None
         try:
             values = [float(cell) for cell in row]
@@ -206,7 +219,8 @@ def reference_load(path, label_column):
 
 
 # Cells that only the row-by-row fallback accepts, or that every path rejects.
-EDGE_CELLS = ["1e-320", " 2 ", "1_0", "\u0661", '"3"', '""', "nan", "inf", "0x1", "1e", ""]
+EDGE_CELLS = ["1e-320", " 2 ", "1_0", "\u0661", "2\u00a0", '"3"', '""', "nan", "inf", "0x1",
+              "1e", ""]
 VALID_CELLS = st.one_of(
     st.sampled_from(["0", "1"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -305,7 +319,7 @@ class TestLoadCsvPaths:
         assert d.columns == ("gene\nname", "b")
         np.testing.assert_array_equal(d.X, [[1.0, 2.0], [3.0, 4.0]])
 
-    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661", 1.0), ('"3"', 3.0)])
+    @pytest.mark.parametrize("cell, value", [('"3"', 3.0)])
     def test_cell_only_float_accepts_still_loads(self, tmp_path, cell, value):
         d = load_csv(write(tmp_path / "f.csv", f"a,b\n1,2\n{cell},4\n"))
         np.testing.assert_array_equal(d.X, [[1.0, 2.0], [value, 4.0]])
@@ -433,6 +447,16 @@ class TestStatePersistence:
         with pytest.raises(DataValidationError, match="corrupt"):
             load_state(path)
 
+
+    def test_duplicate_columns_reported_corrupt(self, fitted, tmp_path):
+        path = tmp_path / "s.json"
+        save_state(fitted, path)
+        doc = json.loads(path.read_text())
+        doc["columns"][1] = "a"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError,
+                           match=r"s.json: corrupt fit-state file \(duplicate column name 'a'\)"):
+            load_state(path)
 
     @pytest.mark.parametrize(
         "key, corrupt, message",

@@ -32,7 +32,7 @@ from vbda import (
 )
 from vbda import core, evalharness, rcvb
 from vbda.evalharness import _fold_stats, _mcc_from_counts
-from vbda.simgen import derive_seed
+from vbda.simgen import MEAN_SPECS, derive_seed
 
 from conftest import make_balanced, numpy_stats, tiled_data
 
@@ -490,9 +490,14 @@ class TestConsistencyExperiment:
             calls.append(1)
             return original(*args)
 
+        # The statistics of drawn data are built in core, drawn moments'
+        # in evalharness; setting 1 takes the second path, setting 5 the first.
         monkeypatch.setattr(core, "_stats_from_moments", counting)
-        consistency_experiment(setting_from_index(1, p=200), (20, 40), 3)
-        assert len(calls) == 6  # 2 training sizes x 3 replicates
+        monkeypatch.setattr(evalharness, "_stats_from_moments", counting)
+        for index in (1, 5):
+            calls.clear()
+            consistency_experiment(setting_from_index(index, p=200), (20, 40), 3)
+            assert len(calls) == 6  # 2 training sizes x 3 replicates
 
     def test_hyper_threshold_respected(self):
         s = SimSetting(mean_spec="custom", cov_spec="independence",
@@ -503,18 +508,82 @@ class TestConsistencyExperiment:
         assert np.all(conv.fp == 0)  # nothing clears an absurd threshold
 
 
-def _reference_consistency(setting, ns, reps, h, seed, model):
-    """The experiment the plain way: a full named replicate from ``generate``,
-    its statistics, then a single-cycle fit and a converged fit, each started
+class TestConsistencyAtLargeN:
+    """Independence settings are drawn as statistics, so a cell costs O(p)
+    at any n, and n reaches the regime where log b_gamma grows."""
+
+    def test_memory_flat_in_n(self):
+        # A data draw would hold an n-by-p matrix: 80 MB at n = 10**4, so the
+        # first assertion stops a regression before a larger one is drawn.
+        s = setting_from_index(1, p=1000)
+        consistency_experiment(s, (20,), 1)  # first-call allocations
+        peaks = []
+        for n in (10**4, 10**5, 10**6):
+            tracemalloc.start()
+            try:
+                consistency_experiment(s, (n,), 1, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] < min(1.1 * peaks[0], 10**4 * s.p * 8 / 10)
+
+    def test_errors_vanish(self):
+        res = consistency_experiment(setting_from_index(1, p=1000),
+                                     (10**4, 10**5, 10**6), 5, seed=0)
+        conv = res.at_convergence
+        med = conv.median("E")
+        assert med[0] > med[1] > med[2]
+        assert np.all(conv.fp[-1] == 0) and np.all(conv.fn[-1] == 0)
+
+
+def _named_replicate_stats(s, h):
+    """Statistics and truth of a full named replicate from ``generate``."""
+    r = generate(s)
+    return compute_stats(r.train, h.variance_floor), r.gamma_true
+
+
+def _drawn_moment_stats(s, h):
+    """Statistics and truth of an independence replicate, drawn the plain
+    way from the exact laws of its group means and variances."""
+    rng = np.random.default_rng(s.seed)
+    mu1, sigma0 = np.zeros(s.p), np.ones(s.p)
+    if s.mean_spec == "s4":
+        mu1[: s.p1] = rng.normal(0.5, 0.3, size=s.p1)
+    else:
+        mu1[: s.p1] = s.signal_mean if s.mean_spec == "custom" else MEAN_SPECS[s.mean_spec][1]
+    sigma0[: s.p1] = 1.0 + s.delta_sigma
+    n = s.n_train
+    n1 = int(rng.binomial(n, 0.5))
+    while not 2 <= n1 <= n - 2:
+        n1 = int(rng.binomial(n, 0.5))
+    n0 = n - n1
+    z = rng.standard_normal((2, s.p))
+    chi2 = rng.chisquare([[n0 - 1], [n1 - 1]], size=(2, s.p))
+    mu0_hat = sigma0 * z[0] / np.sqrt(n0)
+    mu1_hat = mu1 + z[1] / np.sqrt(n1)
+    var0, var1 = sigma0 ** 2 * chi2[0] / n0, chi2[1] / n1
+    var_pooled = (n1 * var1 + n0 * var0) / n
+    diff = mu1_hat - mu0_hat
+    var_total = var_pooled + (n1 * n0 / (n * n)) * diff * diff
+    floor = h.variance_floor
+    floored = (var1 < floor) | (var0 < floor) | (var_pooled < floor)
+    stats = core.VariableStats(
+        (n1 * mu1_hat + n0 * mu0_hat) / n, mu1_hat, mu0_hat,
+        *(np.maximum(v, floor) for v in (var_total, var_pooled, var1, var0)),
+        floored, n, n1, n0)
+    return stats, np.arange(s.p) < s.p1
+
+
+def _reference_consistency(setting, ns, reps, h, seed, model, stats_of):
+    """The experiment the plain way: each replicate's statistics from
+    ``stats_of``, then a single-cycle fit and a converged fit, each started
     afresh from ``h.w_init``."""
     fields = ("E", "e0", "e1", "fp", "fn")
     out = {tag: {f: np.zeros((len(ns), reps)) for f in fields} for tag in ("tau1", "conv")}
     for i, n in enumerate(ns):
         for rep in range(reps):
-            r = generate(replace(setting, n_train=n, n_valid=0, n_test=0,
-                                 seed=derive_seed(seed, i, rep)))
-            stats = compute_stats(r.train, h.variance_floor)
-            truth = r.gamma_true
+            stats, truth = stats_of(replace(setting, n_train=n, n_valid=0, n_test=0,
+                                            seed=derive_seed(seed, i, rep)), h)
             for tag, hp in (("tau1", replace(h, max_cycles=1)), ("conv", h)):
                 w = rcvb._fit(stats, hp, model).w
                 e0, e1 = float(w[~truth].sum()), float((1.0 - w[truth]).sum())
@@ -526,35 +595,60 @@ def _reference_consistency(setting, ns, reps, h, seed, model):
     return out
 
 
+def _assert_curves_equal(res, ref, ns, reps):
+    for tag, curve in (("tau1", res.at_tau1), ("conv", res.at_convergence)):
+        assert curve.ns == ns
+        for field in ("E", "e0", "e1", "fp", "fn"):
+            got = getattr(curve, field)
+            assert got.dtype == np.float64 and got.shape == (len(ns), reps)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          ref[tag][field].view(np.uint64))
+
+
+_CUSTOM_HETERO = SimSetting(mean_spec="custom", signal_count=3, signal_mean=1.5, p=50,
+                            delta_sigma=0.5)
+
+
 class TestConsistencyParity:
-    """``consistency_experiment`` draws nameless replicates and continues the
-    converged fit from the single-cycle iterate; its curves must equal, bit
-    for bit, those of fresh named replicates fitted twice from scratch."""
+    """``consistency_experiment`` draws nameless replicates, or under
+    independence their statistics, and continues the converged fit from the
+    single-cycle iterate; its curves must equal, bit for bit, those of the
+    same draws made the plain way and fitted twice from scratch."""
+
+    @pytest.mark.parametrize("model", ["vlda", "vqda"])
+    @pytest.mark.parametrize("setting, ns, reps, h", [
+        (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters()),
+        (setting_from_index(8, p=200), (20, 60), 2, Hyperparameters()),
+        (setting_from_index(11, p=200), (30,), 3, Hyperparameters()),
+        (setting_from_index(16, p=200), (20, 40), 1, Hyperparameters(r=0.5)),
+        (replace(_CUSTOM_HETERO, cov_spec="block_ar1", p=100), (20, 80), 2,
+         Hyperparameters()),
+        # the first step already meets eps, so there is no second run
+        (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters(eps=1e6)),
+        (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters(max_cycles=1)),
+        (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters(max_cycles=2)),
+    ], ids=["s5", "s8", "s11", "s16_r", "custom_hetero", "eps_met_at_once",
+            "max_cycles_1", "max_cycles_2"])
+    def test_matches_fresh_named_replicates(self, setting, ns, reps, h, model):
+        res = consistency_experiment(setting, ns, reps, h=h, seed=4, model=model)
+        ref = _reference_consistency(setting, ns, reps, h, 4, model, _named_replicate_stats)
+        _assert_curves_equal(res, ref, ns, reps)
 
     @pytest.mark.parametrize("model", ["vlda", "vqda"])
     @pytest.mark.parametrize("setting, ns, reps, h", [
         (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters()),
-        (setting_from_index(8, p=200), (20, 60), 2, Hyperparameters()),
-        (setting_from_index(11, p=200), (30,), 3, Hyperparameters()),
-        (setting_from_index(16, p=200), (20, 40), 1, Hyperparameters(r=0.5)),
-        (SimSetting(mean_spec="custom", signal_count=3, signal_mean=1.5, p=50,
-                    delta_sigma=0.5), (20, 80), 2, Hyperparameters()),
-        # the first step already meets eps, so there is no second run
+        (setting_from_index(4, p=200), (20, 4000), 2, Hyperparameters()),
+        (_CUSTOM_HETERO, (20, 80), 2, Hyperparameters()),
+        (_CUSTOM_HETERO, (4, 5), 3, Hyperparameters()),
         (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(eps=1e6)),
         (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(max_cycles=1)),
         (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(max_cycles=2)),
-    ], ids=["s1", "s8", "s11", "s16_r", "custom_hetero", "eps_met_at_once",
+    ], ids=["s1", "s4_large_n", "custom_hetero", "label_redraws", "eps_met_at_once",
             "max_cycles_1", "max_cycles_2"])
-    def test_matches_fresh_named_replicates(self, setting, ns, reps, h, model):
+    def test_independence_matches_drawn_statistics(self, setting, ns, reps, h, model):
         res = consistency_experiment(setting, ns, reps, h=h, seed=4, model=model)
-        ref = _reference_consistency(setting, ns, reps, h, 4, model)
-        for tag, curve in (("tau1", res.at_tau1), ("conv", res.at_convergence)):
-            assert curve.ns == ns
-            for field in ("E", "e0", "e1", "fp", "fn"):
-                got = getattr(curve, field)
-                assert got.dtype == np.float64 and got.shape == (len(ns), reps)
-                np.testing.assert_array_equal(got.view(np.uint64),
-                                              ref[tag][field].view(np.uint64))
+        ref = _reference_consistency(setting, ns, reps, h, 4, model, _drawn_moment_stats)
+        _assert_curves_equal(res, ref, ns, reps)
 
     def test_one_cycle_when_first_step_meets_eps(self, monkeypatch):
         cycles = []
@@ -573,8 +667,10 @@ class TestConsistencyParity:
     def test_peak_memory_one_replicate(self):
         # tracemalloc sees numpy's buffers.  One n = 100 draw is the floor;
         # holding the n = 50 replicate while drawing the next, or building
-        # the v1..vp names, pushes the peak past 1.5 matrices.
-        s = SimSetting(mean_spec="custom", signal_count=20, signal_mean=4.0, p=20000)
+        # the v1..vp names, pushes the peak past 1.5 matrices.  A correlated
+        # setting, since only those are drawn as data.
+        s = SimSetting(mean_spec="custom", cov_spec="block_ar1", signal_count=20,
+                       signal_mean=4.0, p=20000)
         consistency_experiment(s, (10, 20), 1)  # first-call allocations
         tracemalloc.start()
         try:

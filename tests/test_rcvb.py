@@ -265,6 +265,13 @@ class TestFitState:
             FitState(model="vlda", w=np.full(3, 0.5), cycles_run=1, converged=True,
                      final_delta=0.0, stats=s, hyper=Hyperparameters())
 
+    def test_rejects_duplicate_columns(self, toy_dataset):
+        f = fit_vlda(toy_dataset)
+        names = tuple(f"c{j}" for j in range(f.p))
+        assert replace(f, columns=names).columns == names
+        with pytest.raises(DataValidationError, match="duplicate column name 'c0'"):
+            replace(f, columns=("c0",) + names[:-1])
+
 
 class TestSelectVariables:
     def test_threshold_is_strict(self, toy_dataset):

@@ -11,14 +11,18 @@ from scipy import stats
 from vbda import (
     COV_SPECS,
     DataValidationError,
+    Dataset,
     SimSetting,
     ar1_sample,
+    compute_stats,
     derive_seed,
     generate,
+    lambda_lrt_lda,
     setting_from_index,
     uniform_corr_sample,
 )
-from vbda.simgen import _draw
+from vbda.core import _stats_from_moments
+from vbda.simgen import _draw, _draw_moments
 
 
 def custom(**kw):
@@ -312,3 +316,28 @@ class TestDraw:
         np.testing.assert_array_equal(sigma0, r.sigma0)
         assert X.flags.writeable and X.shape == (s.n_train + s.n_valid + s.n_test, s.p)
         assert all(d.columns == tuple(f"v{j + 1}" for j in range(s.p)) for d in splits)
+
+
+class TestDrawMoments:
+    """``_draw_moments`` draws an independence setting's training statistics
+    from their exact laws: the law of the statistics of ``_draw``'s data."""
+
+    @pytest.mark.parametrize("index", [1, 4])
+    def test_same_law_as_statistics_of_data(self, index):
+        # Seed 0, 30 replicates at p = 500 and n = 100, pooled per path: the
+        # noise variables' LRT statistics (13500 values), and the signal
+        # variables' group-0 variances and mean gaps (1500 at setting 1, 300
+        # at setting 4).  Each two-sample KS test must give p > 1e-3.
+        base = setting_from_index(index, p=500, n_train=100, n_valid=0, n_test=0)
+        signal = np.arange(base.p) < base.p1
+        samples = {"data": [], "moments": []}
+        for rep in range(30):
+            s = replace(base, seed=derive_seed(0, rep))
+            X, y, _, _ = _draw(s)
+            for path, st in (("data", compute_stats(Dataset(X, y))),
+                             ("moments", _stats_from_moments(*_draw_moments(s), 1e-12))):
+                samples[path].append((lambda_lrt_lda(st, st.n)[~signal], st.var0[signal],
+                                      (st.mu1_hat - st.mu0_hat)[signal]))
+        for k, name in enumerate(("noise lambda", "signal var0", "signal mean gap")):
+            a, b = (np.concatenate([r[k] for r in samples[path]]) for path in samples)
+            assert stats.ks_2samp(a, b).pvalue > 1e-3, name
