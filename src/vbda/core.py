@@ -21,7 +21,7 @@ Conventions used throughout:
   ``_moments`` reads every cell through ``_tiles``, the walker that scoring
   uses too, one cache-sized tile at a time.  ``_group_centers`` rejects
   non-finite data, and ``_moments`` finite values too large to square.
-* Variances are floored at ``variance_floor`` so constant columns degrade
+* Variances are floored at ``_VARIANCE_FLOOR`` so constant columns degrade
   gracefully instead of producing infinities; a per-variable flag records
   where flooring happened.
 * b_gamma overflows any machine real for large n, so it is only ever carried
@@ -201,8 +201,8 @@ class Hyperparameters:
     (see :func:`log_b_gamma`) parameterize the Beta prior on the inclusion
     probability; r < 1 and kappa > 0 control how fast b_gamma grows with n.
     c_w and c_y are the selection and classification thresholds.  eps bounds
-    the squared norm of successive selection-probability updates; raising a
-    variance below variance_floor up to it keeps every log finite.
+    the squared norm of successive selection-probability updates.  Every
+    float must be finite.
     """
 
     a_y: float = 1.0
@@ -214,10 +214,12 @@ class Hyperparameters:
     c_y: float = 0.5
     eps: float = 1e-6
     max_cycles: int = 100
-    variance_floor: float = 1e-12
-    w_init: float = 0.5
 
     def __post_init__(self):
+        for name in ("a_y", "b_y", "a_gamma", "r", "kappa", "c_w", "c_y", "eps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.a_y < 0 or self.b_y < 0:
             raise DomainError("a_y and b_y must be nonnegative")
         if self.a_gamma <= 0:
@@ -238,10 +240,6 @@ class Hyperparameters:
             max_cycles = 0  # not an integer: rejected below
         if max_cycles < 1:
             raise DomainError("max_cycles must be a positive integer")
-        if not self.variance_floor > 0:
-            raise DomainError("variance_floor must be positive")
-        if not 0.0 <= self.w_init <= 1.0:
-            raise DomainError(f"w_init must lie in [0, 1], got {self.w_init}")
 
 
 @dataclass(frozen=True)
@@ -348,10 +346,14 @@ def _moments(X: np.ndarray, cells, centers: np.ndarray) -> list:
     return moments
 
 
-def _stats_from_moments(centers: np.ndarray, m0, m1, variance_floor: float) -> VariableStats:
+# Variances below this are raised to it, so every log of a variance is finite.
+_VARIANCE_FLOOR = 1e-12
+
+
+def _stats_from_moments(centers: np.ndarray, m0, m1) -> VariableStats:
     """VariableStats from the ``_moments`` of groups 0 and 1 about
     ``centers`` (see the module docstring): var_g is clipped at 0 and every
-    variance below the floor is raised to it and flagged.  Raises like
+    variance below ``_VARIANCE_FLOOR`` is raised to it and flagged.  Raises like
     ``Dataset.validate_training`` unless both groups have enough rows."""
     (n0, s0, q0), (n1, s1, q1) = m0, m1
     n = n0 + n1
@@ -364,18 +366,19 @@ def _stats_from_moments(centers: np.ndarray, m0, m1, variance_floor: float) -> V
     var_pooled = (n1 * var1 + n0 * var0) / n
     var_total = var_pooled + (n1 * n0 / (n * n)) * diff * diff
     # var_total >= var_pooled, so it needs no flag of its own.
-    floored = (var1 < variance_floor) | (var0 < variance_floor) | (var_pooled < variance_floor)
-    variances = (np.maximum(v, variance_floor) for v in (var_total, var_pooled, var1, var0))
+    floor = _VARIANCE_FLOOR
+    floored = (var1 < floor) | (var0 < floor) | (var_pooled < floor)
+    variances = (np.maximum(v, floor) for v in (var_total, var_pooled, var1, var0))
     return VariableStats((n1 * mu1 + n0 * mu0) / n, mu1, mu0, *variances, floored, n, n1, n0)
 
 
-def _stats_of_groups(X: np.ndarray, y: np.ndarray, variance_floor: float) -> VariableStats:
+def _stats_of_groups(X: np.ndarray, y: np.ndarray) -> VariableStats:
     centers = _group_centers(X, y)
     cells = [((y == g).nonzero()[0], g) for g in (0, 1)]
-    return _stats_from_moments(centers, *_moments(X, cells, centers), variance_floor)
+    return _stats_from_moments(centers, *_moments(X, cells, centers))
 
 
-def compute_stats(d: Dataset, variance_floor: float = 1e-12) -> VariableStats:
+def compute_stats(d: Dataset) -> VariableStats:
     """Training-only per-variable MLEs.
 
     These are the large-n (Taylor) forms used inside the selection updates.
@@ -387,7 +390,7 @@ def compute_stats(d: Dataset, variance_floor: float = 1e-12) -> VariableStats:
     DataValidationError unless ``d`` is a valid training set.
     """
     d.validate_training()
-    return _stats_of_groups(d.X, d.y, variance_floor)
+    return _stats_of_groups(d.X, d.y)
 
 
 def log_b_gamma(n: int, p: int, r: float, kappa: float) -> float:
@@ -405,10 +408,10 @@ def log_b_gamma(n: int, p: int, r: float, kappa: float) -> float:
         raise DomainError(f"n must be >= 1 (log(n+1) must be nonzero), got {n}")
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    if not r < 1:
-        raise DomainError(f"r must be < 1, got {r}")
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    if not -math.inf < r < 1:
+        raise DomainError(f"r must be finite and < 1, got {r}")
+    if not 0 < kappa < math.inf:
+        raise DomainError(f"kappa must be finite and positive, got {kappa}")
     log_np1 = math.log(n + 1.0)
     return 2.0 * math.log(p) - 0.5 * log_np1 + kappa * (n + 1.0) / log_np1**r
 
@@ -421,7 +424,15 @@ _XI_SERIES_CUTOFF = 10.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _xi(v: float) -> float:
+def xi(x: float) -> float:
+    """Stirling-corrected log-gamma: log Gamma(x) + x - x log x - (1/2) log(2 pi).
+
+    Behaves like -(1/2) log x + 1/(12 x) for large x.  Evaluated through the
+    asymptotic series above ``x >= 10`` to avoid the catastrophic
+    cancellation of subtracting x log x from log Gamma(x) at large x.
+    Takes one real number, with ``math`` alone; the domain is x > 0.
+    """
+    v = float(x)
     if not (v > 0 and math.isfinite(v)):
         raise DomainError("xi requires x > 0")
     if v < _XI_SERIES_CUTOFF:
@@ -435,21 +446,6 @@ def _xi(v: float) -> float:
         + inv * inv2 * inv2 * (1.0 / 1260.0)
         - inv * inv2 * inv2 * inv2 * (1.0 / 1680.0)
     )
-
-
-def xi(x):
-    """Stirling-corrected log-gamma: log Gamma(x) + x - x log x - (1/2) log(2 pi).
-
-    Behaves like -(1/2) log x + 1/(12 x) for large x.  Evaluated through the
-    asymptotic series above ``x >= 10`` to avoid the catastrophic
-    cancellation of subtracting x log x from log Gamma(x) at large x.
-    Accepts scalars or arrays; the domain is x > 0.  Each value is evaluated
-    with ``math`` alone; an array is mapped element by element.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        return _xi(float(arr))
-    return np.array([_xi(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
 
 def lambda_lrt_lda(s: VariableStats, n: int):

@@ -261,6 +261,26 @@ def _stats_from_json(obj: dict, p: int) -> VariableStats:
     return VariableStats(**arrays, floored=floored, n=n, n1=n1, n0=n0)
 
 
+# Keys that states written by earlier versions hold under "hyper".  Each
+# acted only while fitting (the variance floor, now fixed, and the start of
+# w), so a saved fit does not depend on them and they are dropped.
+_RETIRED_HYPER = ("variance_floor", "w_init")
+
+
+def _hyper_from_json(obj) -> Hyperparameters:
+    if not isinstance(obj, dict):
+        raise DataValidationError("hyper is not an object")
+    return Hyperparameters(**{k: v for k, v in obj.items() if k not in _RETIRED_HYPER})
+
+
+def _columns_from_json(obj) -> tuple[str, ...] | None:
+    if obj is None:
+        return None
+    if not isinstance(obj, list) or not all(isinstance(name, str) for name in obj):
+        raise DataValidationError("columns must be a list of strings")
+    return tuple(obj)
+
+
 def save_state(f: FitState, path) -> None:
     """Persist a fit as deterministic, schema-versioned JSON: one line with
     sorted keys, written by the C encoder."""
@@ -282,7 +302,10 @@ def save_state(f: FitState, path) -> None:
 def load_state(path) -> FitState:
     """Inverse of save_state; rejects unknown schema versions and corrupt files,
     including statistics of the wrong length, non-finite values, nonpositive
-    variances, inconsistent group counts and a column named twice."""
+    variances, inconsistent group counts, a column name that is not a string
+    or is named twice, and hyperparameters that are unknown or out of range.
+    A state written by an earlier version still loads: the hyperparameter
+    keys it no longer uses are dropped."""
     with _read_utf8(path) as fh:
         try:
             doc = json.load(fh)
@@ -303,8 +326,8 @@ def load_state(path) -> FitState:
             converged=bool(doc["converged"]),
             final_delta=float(doc["final_delta"]),
             stats=_stats_from_json(doc["stats"], len(doc["w"])),
-            hyper=Hyperparameters(**doc["hyper"]),
-            columns=tuple(doc["columns"]) if doc["columns"] is not None else None,
+            hyper=_hyper_from_json(doc["hyper"]),
+            columns=_columns_from_json(doc["columns"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: corrupt fit-state file ({exc})") from None

@@ -45,7 +45,7 @@ from .core import (
     _stats_from_moments,
     compute_stats,
 )
-from .rcvb import _FITTERS, _fit, _rule, _score, select_variables
+from .rcvb import _FITTERS, _fit, _rule, _score
 from .simgen import SimSetting, _draw, _draw_moments, _signal_mask, derive_seed
 
 __all__ = [
@@ -100,32 +100,23 @@ def selection_confusion(selected, true_mask):
     return tp, tn, fp, fn
 
 
-def _mcc_from_counts(tp, tn, fp, fn) -> float:
+def mcc(selected, true_mask) -> float:
+    """Matthews correlation of a selected variable set; 0 if any marginal is empty."""
+    tp, tn, fp, fn = selection_confusion(selected, true_mask)
     denom2 = float(tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if denom2 == 0.0:
         return 0.0
     return (tp * tn - fp * fn) / np.sqrt(denom2)
 
 
-def mcc(selected, true_mask) -> float:
-    """Matthews correlation of a selected variable set; 0 if any marginal is empty."""
-    return _mcc_from_counts(*selection_confusion(selected, true_mask))
-
-
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-repetition record: classification counts plus optional selection
-    quality (selection fields stay None when the ground truth is unknown).
-    In cross-validation, tp/tn/fp/fn are means over the k folds."""
+    """Per-repetition record: the number of scored rows, how many were
+    misclassified, and their ratio."""
 
     m: int
     misclassified: int
     error: float
-    mcc: float | None = None
-    tp: float | None = None
-    tn: float | None = None
-    fp: float | None = None
-    fn: float | None = None
 
 
 @dataclass(frozen=True)
@@ -161,8 +152,7 @@ def stratified_folds(y, k: int, rng: np.random.Generator) -> np.ndarray:
     return folds
 
 
-def _fold_stats(X: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int,
-                variance_floor: float):
+def _fold_stats(X: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int):
     """Yield the training statistics of folds 0..k-1 in turn, each from the
     rows outside that fold, without copying those rows.
 
@@ -183,7 +173,7 @@ def _fold_stats(X: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int,
     for fold in range(k):
         yield _stats_from_moments(centers, *(
             [t - v for t, v in zip(totals[g], held[2 * fold + g])] for g in (0, 1)
-        ), variance_floor)
+        ))
 
 
 def kfold_cv(
@@ -193,7 +183,6 @@ def kfold_cv(
     model: str = "vlda",
     h: Hyperparameters | None = None,
     seed: int = 0,
-    gamma_true=None,
     coupled: bool = False,
 ) -> CVReport:
     """Repeated stratified k-fold CV; per repetition, misclassifications are
@@ -220,39 +209,17 @@ def kfold_cv(
     rule = _rule(model, coupled)
     d.validate_training()
     h = h or Hyperparameters()
-    truth = None if gamma_true is None else np.asarray(gamma_true, dtype=bool)
 
     reports = []
     for rep in range(reps):
         rng = np.random.default_rng(derive_seed(seed, rep))
         folds = stratified_folds(d.y, k, rng)
         total_wrong = 0
-        confusion = np.zeros(4, dtype=float)
-        for fold, stats in enumerate(_fold_stats(d.X, d.y, folds, k, h.variance_floor)):
+        for fold, stats in enumerate(_fold_stats(d.X, d.y, folds, k)):
             test_idx = np.flatnonzero(folds == fold)
-            f = _fit(stats, h, model)
-            pred = _score(f, d, h, rule, rows=test_idx)
+            pred = _score(_fit(stats, h, model), d, h, rule, rows=test_idx)
             total_wrong += int(np.sum(pred.labels != d.y[test_idx].astype(bool)))
-            if truth is not None:
-                confusion += selection_confusion(select_variables(f, h.c_w), truth)
-        err = total_wrong / d.n
-        if truth is None:
-            rep_mcc = tp = tn = fp = fn = None
-        else:
-            tp, tn, fp, fn = (confusion / k).tolist()
-            rep_mcc = _mcc_from_counts(tp, tn, fp, fn)
-        reports.append(
-            EvalReport(
-                m=d.n,
-                misclassified=total_wrong,
-                error=err,
-                mcc=rep_mcc,
-                tp=tp,
-                tn=tn,
-                fp=fp,
-                fn=fn,
-            )
-        )
+        reports.append(EvalReport(m=d.n, misclassified=total_wrong, error=total_wrong / d.n))
     return CVReport(model=model, k=k, reps=tuple(reports))
 
 
@@ -326,10 +293,10 @@ def _consistency_cell(s: SimSetting, h: Hyperparameters, model: str,
     draw of ``s``.  The draw has no names and lives only in this call, so no
     replicate is held while the next is drawn."""
     if s.cov_spec == "independence":
-        stats = _stats_from_moments(*_draw_moments(s), h.variance_floor)
+        stats = _stats_from_moments(*_draw_moments(s))
     else:
         X, y, _, _ = _draw(s)
-        stats = compute_stats(Dataset(X, y), h.variance_floor)
+        stats = compute_stats(Dataset(X, y))
     f = _fit(stats, replace(h, max_cycles=1), model)
     out = [_selection_errors(f.w, truth, h.c_w)]
     if not f.converged and h.max_cycles > 1:

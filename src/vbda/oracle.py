@@ -42,12 +42,7 @@ __all__ = [
 ENUMERATION_MAX_P = 15
 
 
-def _stats_with_new(
-    d: Dataset,
-    x_new: np.ndarray,
-    y_new: int,
-    variance_floor: float = 1e-12,
-) -> VariableStats:
+def _stats_with_new(d: Dataset, x_new: np.ndarray, y_new: int) -> VariableStats:
     """Exact MLEs over the training data augmented with one new labeled point.
 
     Denominators become n+1, n1+y_new, n0+1-y_new.  The enumeration below
@@ -66,22 +61,21 @@ def _stats_with_new(
         raise DataValidationError("x_new contains non-finite values")
     X_aug = np.vstack([d.X, x_new])
     y_aug = np.concatenate([d.y, [y_new]]).astype(np.int8)
-    return _stats_of_groups(X_aug, y_aug, variance_floor)
+    return _stats_of_groups(X_aug, y_aug)
 
 
-def lambda_bayes_lda(d: Dataset, x_new, y_new: int, j: int | None = None):
+def lambda_bayes_lda(d: Dataset, x_new, y_new: int) -> np.ndarray:
     """Exact per-variable evidence statistic for the shared-variance model.
 
     lambda_bayes_j = lambda_lrt_j(with-new statistics) - log(n+1), where the
     statistics include (x_new, y_new) and n is the training count.  Returns
-    the full length-p vector, or one entry if ``j`` is given.
+    the length-p vector over j.
     """
     s = _stats_with_new(d, x_new, y_new)
-    lam = lambda_lrt_lda(s, d.n) - math.log(d.n + 1.0)
-    return lam if j is None else float(lam[j])
+    return lambda_lrt_lda(s, d.n) - math.log(d.n + 1.0)
 
 
-def lambda_bayes_qda(d: Dataset, x_new, y_new: int, j: int | None = None):
+def lambda_bayes_qda(d: Dataset, x_new, y_new: int) -> np.ndarray:
     """Exact per-variable evidence statistic for the separate-variance model.
 
     lambda_bayes_j = lambda_lrt_j + log(n1 + y_new) + log(n0 + 1 - y_new)
@@ -97,7 +91,7 @@ def lambda_bayes_qda(d: Dataset, x_new, y_new: int, j: int | None = None):
     n, n1, n0 = d.n, d.n1, d.n0
     m1 = n1 + y_new
     m0 = n0 + 1 - y_new
-    lam = (
+    return (
         lambda_lrt_qda(s, n, m1, m0)
         + math.log(m1)
         + math.log(m0)
@@ -107,7 +101,6 @@ def lambda_bayes_qda(d: Dataset, x_new, y_new: int, j: int | None = None):
         + 2.0 * xi(m1 / 2.0)
         + 2.0 * xi(m0 / 2.0)
     )
-    return lam if j is None else float(lam[j])
 
 
 # Above this value of log(b) the direct route through exp(log_b) would lose

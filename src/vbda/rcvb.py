@@ -220,9 +220,9 @@ def _fit(
     w0: np.ndarray | None = None,
 ) -> FitState:
     """The fixed point of ``model`` on ``stats``, from ``w0`` if given and
-    from ``h.w_init`` everywhere otherwise."""
+    from 1/2 everywhere otherwise."""
     w, cycles, delta = _batch_fixed_point(
-        np.full(stats.p, float(h.w_init)) if w0 is None else w0,
+        np.full(stats.p, 0.5) if w0 is None else w0,
         _eta_offset(model, stats),
         h.a_gamma,
         log_b_gamma(stats.n, stats.p, h.r, h.kappa),
@@ -249,7 +249,7 @@ def fit_vlda(d: Dataset, h: Hyperparameters | None = None) -> FitState:
     each cycle is O(p).
     """
     h = h or Hyperparameters()
-    return _fit(compute_stats(d, h.variance_floor), h, "vlda", d.columns)
+    return _fit(compute_stats(d), h, "vlda", d.columns)
 
 
 def fit_vqda(d: Dataset, h: Hyperparameters | None = None) -> FitState:
@@ -260,7 +260,7 @@ def fit_vqda(d: Dataset, h: Hyperparameters | None = None) -> FitState:
     the reference update; other a_gamma values generalize it.
     """
     h = h or Hyperparameters()
-    return _fit(compute_stats(d, h.variance_floor), h, "vqda", d.columns)
+    return _fit(compute_stats(d), h, "vqda", d.columns)
 
 
 # The one table of models: FitState, evalharness and the CLI all read it.
@@ -432,7 +432,7 @@ def predict(
     return predict_vqda(f, x_new, h)
 
 
-def select_variables(f: FitState, c_w: float | None = None) -> np.ndarray:
-    """Indices of variables whose selection probability strictly exceeds c_w."""
-    threshold = f.hyper.c_w if c_w is None else c_w
-    return np.flatnonzero(f.w > threshold)
+def select_variables(f: FitState) -> np.ndarray:
+    """Indices of variables whose selection probability strictly exceeds the
+    fit's threshold ``f.hyper.c_w``."""
+    return np.flatnonzero(f.w > f.hyper.c_w)

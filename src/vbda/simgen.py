@@ -24,6 +24,7 @@ from their exact laws, with no data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ MEAN_SPECS = {
 _S4_MEAN, _S4_SD = 0.5, 0.3
 
 COV_SPECS = ("independence", "block_ar1", "global_ar1", "uniform")
-_DEFAULT_RHO = {"independence": 0.0, "block_ar1": 0.6, "global_ar1": 0.9, "uniform": 0.8}
+_RHO = {"independence": 0.0, "block_ar1": 0.6, "global_ar1": 0.9, "uniform": 0.8}
 _BLOCK_SIZE = 100
 _MAX_LABEL_REDRAWS = 100
 
@@ -83,9 +84,9 @@ class SimSetting:
     """One cell of the simulation grid.
 
     ``mean_spec`` is one of s1..s4 or "custom" (then ``signal_count`` and
-    ``signal_mean`` are required).  ``rho`` overrides the default correlation
-    of the chosen structure.  ``delta_sigma`` adds to the group-0 SD on
-    signal variables only.
+    ``signal_mean`` are required).  The correlation of each structure is
+    fixed (``_RHO``).  ``delta_sigma`` adds to the group-0 SD on signal
+    variables only.
     """
 
     mean_spec: str = "s1"
@@ -96,7 +97,6 @@ class SimSetting:
     n_test: int = 1000
     delta_sigma: float = 0.0
     seed: int = 0
-    rho: float | None = None
     signal_count: int | None = None
     signal_mean: float | None = None
 
@@ -116,6 +116,10 @@ class SimSetting:
             raise DataValidationError("n_train must be >= 4")
         if self.n_valid < 0 or self.n_test < 0:
             raise DataValidationError("split sizes must be nonnegative")
+        for name in ("delta_sigma", "signal_mean"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DataValidationError(f"{name} must be finite, got {value}")
         if self.delta_sigma < 0:
             raise DataValidationError("delta_sigma must be nonnegative")
         if self.seed < 0:
@@ -126,11 +130,6 @@ class SimSetting:
             raise DataValidationError(
                 f"mean spec {self.mean_spec!r} needs p >= {self.p1}, got p={self.p}"
             )
-        rho = self.effective_rho
-        if not -1.0 < rho < 1.0:
-            raise DataValidationError(f"rho must lie in (-1, 1), got {rho}")
-        if self.cov_spec == "uniform" and rho < 0.0:
-            raise DataValidationError("uniform correlation requires rho >= 0")
         if self.cov_spec == "block_ar1" and self.p % _BLOCK_SIZE != 0:
             raise DataValidationError(
                 f"block AR(1) needs p divisible by {_BLOCK_SIZE}, got p={self.p}"
@@ -141,10 +140,6 @@ class SimSetting:
         if self.signal_count is not None:
             return self.signal_count
         return MEAN_SPECS[self.mean_spec][0]
-
-    @property
-    def effective_rho(self) -> float:
-        return _DEFAULT_RHO[self.cov_spec] if self.rho is None else self.rho
 
 
 def setting_from_index(index: int, **overrides) -> SimSetting:
@@ -210,7 +205,7 @@ def uniform_corr_sample(p: int, rho: float, n: int, seed):
 
 
 def _correlated_normals(s: SimSetting, n: int, rng: np.random.Generator):
-    rho = s.effective_rho
+    rho = _RHO[s.cov_spec]
     if s.cov_spec == "independence":
         return rng.standard_normal((n, s.p))
     if s.cov_spec == "block_ar1":

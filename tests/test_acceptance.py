@@ -247,7 +247,7 @@ def test_criterion_7_cycles_scale_linearly_in_p():
     for p in ps:
         stats = compute_stats(dataset(p))
         kernels.append((
-            np.full(p, h.w_init),
+            np.full(p, 0.5),
             _eta_offset("vlda", stats),
             h.a_gamma,
             log_b_gamma(n, p, h.r, h.kappa),

@@ -135,6 +135,18 @@ class TestFit:
         assert rc == 3
         assert "as a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--ay", "--r", "--kappa"])
+    def test_non_finite_hyperparameter_is_exit_3(self, tmp_path, capsys, flag):
+        # Unchecked, a NaN a_y fits and then scores every row NaN with label 0.
+        data, _ = write_training_csv(tmp_path)
+        out = tmp_path / "fit"
+        field = cli._HYPER_FLAGS[flag][0]
+        for value in ("nan", "-inf"):
+            rc = main(["fit", "--data", str(data), "--out-dir", str(out), f"{flag}={value}"])
+            assert rc == 3
+            assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_non_utf8_data_is_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes("label,café\n1,2\n0,3\n".encode("latin-1"))
@@ -253,6 +265,13 @@ class TestSimulate:
         rc = main(["simulate", "--setting", "20", "--out-dir", str(tmp_path)])
         assert rc == 3
         assert "1..16" in capsys.readouterr().err
+
+    def test_non_finite_delta_sigma_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--setting", "1", "--delta-sigma", "nan", "--out-dir", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: delta_sigma must be finite, got nan\n"
+        assert not out.exists()
 
     def test_non_integer_n_is_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -412,6 +431,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--data", "x.csv", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_every_hyperparameter_has_a_flag(self):
+        fields = {field for field, _ in cli._HYPER_FLAGS.values()}
+        assert fields == set(vbda.Hyperparameters.__dataclass_fields__)
+        assert len(fields) == len(cli._HYPER_FLAGS)
 
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit) as exc:

@@ -458,6 +458,49 @@ class TestStatePersistence:
                            match=r"s.json: corrupt fit-state file \(duplicate column name 'a'\)"):
             load_state(path)
 
+    def test_state_from_earlier_version_loads(self, fitted, tmp_path, rng):
+        # Earlier versions also saved variance_floor and w_init under "hyper".
+        # Both acted only while fitting, so such a state loads without them,
+        # scores alike and saves again without them.
+        path, again = tmp_path / "old.json", tmp_path / "new.json"
+        save_state(fitted, path)
+        doc = json.loads(path.read_text())
+        assert sorted(doc["hyper"]) == sorted(Hyperparameters.__dataclass_fields__)
+        doc["hyper"].update(variance_floor=1e-12, w_init=0.5)
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        old = load_state(path)
+        assert old.hyper == fitted.hyper
+        Xn = rng.standard_normal((6, 5))
+        np.testing.assert_array_equal(predict(old, Xn).y_tilde, predict(fitted, Xn).y_tilde)
+        save_state(old, again)
+        assert "variance_floor" not in json.loads(again.read_text())["hyper"]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("hyper", {"a_y": 1.0, "speed": 2}, "unexpected keyword argument 'speed'"),
+            ("hyper", [1.0], "hyper is not an object"),
+            ("hyper", {"a_y": float("nan")}, r"a_y must be finite, got nan"),
+            ("hyper", {"kappa": float("inf")}, r"kappa must be finite, got inf"),
+            ("columns", [1, 2, 3, 4, 5], "columns must be a list of strings"),
+            ("columns", ["a", "b", None, "d", "e"], "columns must be a list of strings"),
+            ("columns", "abcde", "columns must be a list of strings"),
+        ],
+        ids=["unknown_hyper_key", "hyper_list", "nan_a_y", "inf_kappa", "int_columns",
+             "null_column", "string_columns"],
+    )
+    def test_invalid_header_fields_rejected(self, fitted, tmp_path, key, value, message):
+        # Unchecked, a non-string column loads and predict then blames the
+        # input ("input is missing model column 1").
+        path = tmp_path / "s.json"
+        save_state(fitted, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError,
+                           match=rf"s.json: corrupt fit-state file \(.*{message}"):
+            load_state(path)
+
     @pytest.mark.parametrize(
         "key, corrupt, message",
         [

@@ -25,13 +25,12 @@ from vbda import (
     kfold_cv,
     mcc,
     predict,
-    select_variables,
     selection_confusion,
     setting_from_index,
     stratified_folds,
 )
 from vbda import core, evalharness, rcvb
-from vbda.evalharness import _fold_stats, _mcc_from_counts
+from vbda.evalharness import _fold_stats
 from vbda.simgen import MEAN_SPECS, derive_seed
 
 from conftest import make_balanced, numpy_stats, tiled_data
@@ -206,16 +205,6 @@ class TestKFoldCV:
         for r in rep.reps:
             assert r.m == 24
             assert r.error == r.misclassified / 24
-            assert r.mcc is None and r.tp is None
-
-    def test_truth_mask_fills_selection_fields(self):
-        d = make_balanced(40, 6, seed=1, shift=5.0, k=2)
-        truth = np.array([True, True, False, False, False, False])
-        rep = kfold_cv(d, k=4, reps=1, gamma_true=truth, seed=0)
-        r = rep.reps[0]
-        assert r.mcc is not None and r.mcc > 0.9
-        assert r.tp == pytest.approx(2.0)
-        assert r.fn == pytest.approx(0.0)
 
     def test_vqda_route_and_coupled_flag(self):
         d = make_balanced(40, 4, seed=9, shift=4.0, k=1)
@@ -246,7 +235,7 @@ class TestKFoldCV:
         for rep in range(2):
             folds = stratified_folds(d.y, 4, np.random.default_rng(derive_seed(5, rep)))
             wrong = 0
-            for fold, stats in enumerate(_fold_stats(d.X, d.y, folds, 4, h.variance_floor)):
+            for fold, stats in enumerate(_fold_stats(d.X, d.y, folds, 4)):
                 test = np.flatnonzero(folds == fold)
                 pred = predict(rcvb._fit(stats, h, model), d.X[test], h, coupled=coupled)
                 wrong += int(np.sum(pred.labels != d.y[test]))
@@ -256,30 +245,26 @@ class TestKFoldCV:
         assert 0 < sum(want) < 2 * d.n
 
 
-def _per_fold_refit_cv(d, k, reps=1, model="vlda", seed=0, gamma_true=None,
-                       coupled=False):
+def _per_fold_refit_cv(d, k, reps=1, model="vlda", h=None, seed=0, coupled=False):
     """Reference CV: a fresh Dataset and a full fit for every training fold."""
-    h = Hyperparameters()
+    h = h or Hyperparameters()
     fitter = {"vlda": fit_vlda, "vqda": fit_vqda}[model]
-    truth = None if gamma_true is None else np.asarray(gamma_true, dtype=bool)
     reports = []
     for rep in range(reps):
         folds = stratified_folds(d.y, k, np.random.default_rng(derive_seed(seed, rep)))
         wrong = 0
-        confusion = np.zeros(4)
         for fold in range(k):
             test, train = folds == fold, folds != fold
             f = fitter(Dataset(d.X[train], d.y[train], columns=d.columns), h)
             pred = predict(f, d.X[test], h, coupled=coupled)
             wrong += int(np.sum(pred.labels != d.y[test].astype(bool)))
-            if truth is not None:
-                confusion += selection_confusion(select_variables(f, h.c_w), truth)
-        sel = dict.fromkeys(("mcc", "tp", "tn", "fp", "fn"))
-        if truth is not None:
-            counts = (confusion / k).tolist()
-            sel = dict(zip(("tp", "tn", "fp", "fn"), counts), mcc=_mcc_from_counts(*counts))
-        reports.append(EvalReport(m=d.n, misclassified=wrong, error=wrong / d.n, **sel))
+        reports.append(EvalReport(m=d.n, misclassified=wrong, error=wrong / d.n))
     return CVReport(model=model, k=k, reps=tuple(reports))
+
+
+# Non-default prior, penalty, threshold and cycle cap: each reaches either the
+# fold fits or the scoring of the held-out rows.
+_CV_HYPER = Hyperparameters(a_y=0.0, b_y=2.0, kappa=0.05, c_y=0.4, eps=1e-3, max_cycles=3)
 
 
 def _assert_fold_stats_match_numpy(X, y, k, seed):
@@ -287,7 +272,7 @@ def _assert_fold_stats_match_numpy(X, y, k, seed):
     rows: equal counts and flags, values within 1e-12 relative to
     max(1, |value|)."""
     folds = stratified_folds(y, k, np.random.default_rng(seed))
-    for fold, s in enumerate(_fold_stats(X, y, folds, k, 1e-12)):
+    for fold, s in enumerate(_fold_stats(X, y, folds, k)):
         train = folds != fold
         counts, floored, ref = numpy_stats(X[train], y[train], 1e-12)
         assert (s.n, s.n1, s.n0) == counts
@@ -316,20 +301,20 @@ class TestFoldMoments:
 
     @pytest.mark.parametrize("degenerate", [False, True])
     @pytest.mark.parametrize("k, reps", [(4, 3), (24, 1)])
-    @pytest.mark.parametrize("with_truth", [False, True])
+    @pytest.mark.parametrize("custom_h", [False, True])
     @pytest.mark.parametrize("model, coupled",
                              [("vlda", False), ("vqda", False), ("vlda", True)])
-    def test_matches_per_fold_refit(self, model, coupled, with_truth, k, reps, degenerate):
+    def test_matches_per_fold_refit(self, model, coupled, custom_h, k, reps, degenerate):
         d = _cv_data(degenerate)
-        truth = np.arange(12) < 3 if with_truth else None
-        args = dict(k=k, reps=reps, model=model, seed=7, gamma_true=truth, coupled=coupled)
+        h = _CV_HYPER if custom_h else Hyperparameters()
+        args = dict(k=k, reps=reps, model=model, h=h, seed=7, coupled=coupled)
         assert kfold_cv(d, **args) == _per_fold_refit_cv(d, **args)
 
     @pytest.mark.parametrize("k", [4, 24])
     def test_floored_flags_match_direct_stats(self, k):
         d = _cv_data(degenerate=True)
         folds = stratified_folds(d.y, k, np.random.default_rng(3))
-        for fold, s in enumerate(_fold_stats(d.X, d.y, folds, k, 1e-12)):
+        for fold, s in enumerate(_fold_stats(d.X, d.y, folds, k)):
             train = folds != fold
             _, floored, _ = numpy_stats(d.X[train], d.y[train], 1e-12)
             np.testing.assert_array_equal(s.floored, floored)
@@ -408,11 +393,11 @@ class TestFoldMoments:
         # default block, and 10 row blocks by 2 column tiles at 64 elements.
         X, y = tiled_data(300, 12, 0.0)
         folds = stratified_folds(y, 2, np.random.default_rng(5))
-        list(_fold_stats(X, y, folds, 2, 1e-12))
+        list(_fold_stats(X, y, folds, 2))
         assert einsum_shapes == [(75, 12)] * 4
         einsum_shapes.clear()
         monkeypatch.setattr(core, "_BLOCK", 64)
-        list(_fold_stats(X, y, folds, 2, 1e-12))
+        list(_fold_stats(X, y, folds, 2))
         assert len(einsum_shapes) == 4 * 10 * 2
         assert {a * b for a, b in einsum_shapes} <= set(range(1, 65))
 
@@ -539,7 +524,7 @@ class TestConsistencyAtLargeN:
 def _named_replicate_stats(s, h):
     """Statistics and truth of a full named replicate from ``generate``."""
     r = generate(s)
-    return compute_stats(r.train, h.variance_floor), r.gamma_true
+    return compute_stats(r.train), r.gamma_true
 
 
 def _drawn_moment_stats(s, h):
@@ -565,7 +550,7 @@ def _drawn_moment_stats(s, h):
     var_pooled = (n1 * var1 + n0 * var0) / n
     diff = mu1_hat - mu0_hat
     var_total = var_pooled + (n1 * n0 / (n * n)) * diff * diff
-    floor = h.variance_floor
+    floor = core._VARIANCE_FLOOR
     floored = (var1 < floor) | (var0 < floor) | (var_pooled < floor)
     stats = core.VariableStats(
         (n1 * mu1_hat + n0 * mu0_hat) / n, mu1_hat, mu0_hat,
@@ -577,7 +562,7 @@ def _drawn_moment_stats(s, h):
 def _reference_consistency(setting, ns, reps, h, seed, model, stats_of):
     """The experiment the plain way: each replicate's statistics from
     ``stats_of``, then a single-cycle fit and a converged fit, each started
-    afresh from ``h.w_init``."""
+    afresh from w = 1/2."""
     fields = ("E", "e0", "e1", "fp", "fn")
     out = {tag: {f: np.zeros((len(ns), reps)) for f in fields} for tag in ("tau1", "conv")}
     for i, n in enumerate(ns):

@@ -45,9 +45,9 @@ def brute_force_posterior(d, x_new, h, model="vlda"):
     lam = {}
     for y_new in (0, 1):
         if model == "vlda":
-            lam[y_new] = [lambda_bayes_lda(d, x_new, y_new, j) for j in range(p)]
+            lam[y_new] = lambda_bayes_lda(d, x_new, y_new).tolist()
         else:
-            lam[y_new] = [lambda_bayes_qda(d, x_new, y_new, j) for j in range(p)]
+            lam[y_new] = lambda_bayes_qda(d, x_new, y_new).tolist()
     weights = {}
     for gamma in itertools.product((0, 1), repeat=p):
         k = sum(gamma)
@@ -78,12 +78,6 @@ class TestLambdaBayes:
         # with-new ratio statistic 7 log(976/469), minus log(n+1)
         lam = lambda_bayes_lda(d, np.array([5.0]), 1)
         assert lam[0] == pytest.approx(3.184108576712379, rel=1e-12)
-
-    def test_lda_scalar_index(self):
-        d = Dataset(X_HAND, Y_HAND)
-        lam_vec = lambda_bayes_lda(d, np.array([5.0]), 1)
-        lam_j = lambda_bayes_lda(d, np.array([5.0]), 1, j=0)
-        assert lam_j == pytest.approx(lam_vec[0], rel=1e-15)
 
     def test_qda_hand_value(self):
         d = Dataset(X_HAND, Y_HAND)

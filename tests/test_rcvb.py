@@ -47,7 +47,7 @@ def state_with_w(d: Dataset, w, model="vlda", h=None) -> FitState:
         cycles_run=0,
         converged=True,
         final_delta=0.0,
-        stats=compute_stats(d, h.variance_floor),
+        stats=compute_stats(d),
         hyper=h,
         columns=d.columns,
     )
@@ -153,7 +153,7 @@ class TestFixedPointKernel:
             f = (fit_vlda if model == "vlda" else fit_vqda)(d, h)
             s = f.stats
             w, cycles, delta = reference_fixed_point(
-                np.full(s.p, h.w_init), _eta_offset(model, s), h.a_gamma,
+                np.full(s.p, 0.5), _eta_offset(model, s), h.a_gamma,
                 log_b_gamma(s.n, s.p, h.r, h.kappa), h)
             assert (f.cycles_run, f.converged) == (cycles, delta <= h.eps), index
             np.testing.assert_array_equal(select_variables(f), np.flatnonzero(w > h.c_w))
@@ -279,8 +279,8 @@ class TestSelectVariables:
         assert select_variables(f).tolist() == [1, 3]
 
     def test_custom_threshold(self, toy_dataset):
-        f = state_with_w(toy_dataset, np.linspace(0.0, 1.0, 8))
-        assert select_variables(f, 0.9).tolist() == [7]
+        f = state_with_w(toy_dataset, np.linspace(0.0, 1.0, 8), h=Hyperparameters(c_w=0.9))
+        assert select_variables(f).tolist() == [7]
 
 
 class TestPredictVlda:

@@ -1,6 +1,7 @@
 """Generator checks: determinism, split handling, and Monte Carlo shape
 of the injected correlation structures."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from vbda import (
     setting_from_index,
     uniform_corr_sample,
 )
+from vbda import simgen
 from vbda.core import _stats_from_moments
 from vbda.simgen import _draw, _draw_moments
 
@@ -50,11 +52,8 @@ class TestSimSetting:
         assert custom(signal_count=3).p1 == 3
 
     def test_default_correlations(self):
-        assert SimSetting(cov_spec="independence").effective_rho == 0.0
-        assert SimSetting(cov_spec="block_ar1").effective_rho == 0.6
-        assert SimSetting(cov_spec="global_ar1").effective_rho == 0.9
-        assert SimSetting(cov_spec="uniform").effective_rho == 0.8
-        assert SimSetting(cov_spec="global_ar1", rho=0.3).effective_rho == 0.3
+        assert simgen._RHO == {"independence": 0.0, "block_ar1": 0.6, "global_ar1": 0.9,
+                               "uniform": 0.8}
 
     def test_custom_requires_signal_fields(self):
         with pytest.raises(DataValidationError):
@@ -71,10 +70,12 @@ class TestSimSetting:
             dict(n_train=3),
             dict(n_valid=-1),
             dict(delta_sigma=-0.5),
-            dict(rho=1.0),
-            dict(cov_spec="uniform", rho=-0.1),
+            dict(delta_sigma=math.nan),
+            dict(mean_spec="custom", signal_count=2, signal_mean=math.inf),
             dict(cov_spec="block_ar1", p=150),  # blocks of 100 must tile p
             dict(seed=-1),
+            dict(delta_sigma=math.inf),
+            dict(mean_spec="custom", signal_count=2, signal_mean=math.nan),
         ],
     )
     def test_invalid_settings_rejected(self, kw):
@@ -335,7 +336,7 @@ class TestDrawMoments:
             s = replace(base, seed=derive_seed(0, rep))
             X, y, _, _ = _draw(s)
             for path, st in (("data", compute_stats(Dataset(X, y))),
-                             ("moments", _stats_from_moments(*_draw_moments(s), 1e-12))):
+                             ("moments", _stats_from_moments(*_draw_moments(s)))):
                 samples[path].append((lambda_lrt_lda(st, st.n)[~signal], st.var0[signal],
                                       (st.mu1_hat - st.mu0_hat)[signal]))
         for k, name in enumerate(("noise lambda", "signal var0", "signal mean gap")):
