@@ -308,12 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser(
         "consistency", help="selection-error curves over growing n",
-        description="Selection-error curves over growing n.  Settings 1-4 "
-                    "(independence) draw each replicate's statistics, not data, from "
-                    "their exact laws: O(p) per replicate at any n, so a large --n is "
-                    "cheap.  Their curves have the law of data draws, but not the "
-                    "values that earlier releases drew at the same seed.  Settings "
-                    "5-16 still draw data.")
+        description="Selection-error curves over growing n.  Every setting draws "
+                    "each replicate's statistics, not data, from their exact laws: "
+                    "O(p) per replicate at any n, so a large --n is cheap.  The curves "
+                    "have the law of data draws, but not the values that earlier "
+                    "releases drew at the same seed.")
     p_con.add_argument("--setting", type=int, default=1)
     p_con.add_argument("--n", default="100,400,1600",
                        help="comma-separated training sizes")

@@ -238,12 +238,34 @@ def _stats_to_json(s: VariableStats) -> dict:
     return {**doc, "n": s.n, "n1": s.n1, "n0": s.n0}
 
 
+def _typed(value, name: str, *types):
+    """``value`` if its type is exactly one of ``types``, so that a bool is
+    not taken for an int and a string not for a number."""
+    if type(value) not in types:
+        raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, "
+                         f"got {value!r}")
+    return value
+
+
+def _number_array(values, name: str) -> np.ndarray:
+    """A JSON list of numbers as float64.  The dtype numpy infers rejects
+    strings, nulls and an all-bool list; a bool among numbers is inferred as
+    0.0 or 1.0, so only a list holding such a value has its types read."""
+    a = np.array(values)
+    if a.dtype.kind not in "iuf" or (
+            ((a == 0.0) | (a == 1.0)).any() and bool in set(map(type, values))):
+        raise ValueError(f"could not convert {name}: not a list of numbers")
+    return a.astype(float, copy=False)
+
+
 def _stats_from_json(obj: dict, p: int) -> VariableStats:
     # Checked here, before any FitState is built: a short array would
     # otherwise escape as a numpy broadcast error and a nonpositive variance
     # would score rows with no error at all.
-    arrays = {key: np.array(obj[key], dtype=float) for key in _STATS_ARRAYS}
-    floored = np.array(obj["floored"], dtype=bool)
+    arrays = {key: _number_array(obj[key], f"stats {key}") for key in _STATS_ARRAYS}
+    floored = np.array(obj["floored"])
+    if floored.dtype.kind != "b":
+        raise ValueError("stats floored must be a list of booleans")
     for key, a in (*arrays.items(), ("floored", floored)):
         if a.shape != (p,):
             raise DataValidationError(f"stats {key} has shape {a.shape}, expected ({p},)")
@@ -253,7 +275,7 @@ def _stats_from_json(obj: dict, p: int) -> VariableStats:
     for key in _STATS_VARIANCES:
         if not (arrays[key] > 0.0).all():
             raise DataValidationError(f"stats {key} has nonpositive entries")
-    n, n1, n0 = int(obj["n"]), int(obj["n1"]), int(obj["n0"])
+    n, n1, n0 = (_typed(obj[key], f"stats {key}", int) for key in ("n", "n1", "n0"))
     if n != n1 + n0 or n1 < 2 or n0 < 2:
         raise DataValidationError(
             f"stats counts need n = n1 + n0 with n1, n0 >= 2, got n={n}, n1={n1}, n0={n0}"
@@ -302,8 +324,11 @@ def save_state(f: FitState, path) -> None:
 def load_state(path) -> FitState:
     """Inverse of save_state; rejects unknown schema versions and corrupt files,
     including statistics of the wrong length, non-finite values, nonpositive
-    variances, inconsistent group counts, a column name that is not a string
-    or is named twice, and hyperparameters that are unknown or out of range.
+    variances, inconsistent group counts, a field of the wrong JSON type (a
+    count that is not an integer, ``converged`` that is not a bool, a string
+    or bool among the numbers of ``w`` or the statistics), a column name
+    that is not a string or is named twice, and hyperparameters that are
+    unknown or out of range.
     A state written by an earlier version still loads: the hyperparameter
     keys it no longer uses are dropped."""
     with _read_utf8(path) as fh:
@@ -321,10 +346,10 @@ def load_state(path) -> FitState:
     try:
         return FitState(
             model=doc["model"],
-            w=np.array(doc["w"], dtype=float),
-            cycles_run=int(doc["cycles_run"]),
-            converged=bool(doc["converged"]),
-            final_delta=float(doc["final_delta"]),
+            w=_number_array(doc["w"], "w"),
+            cycles_run=_typed(doc["cycles_run"], "cycles_run", int),
+            converged=_typed(doc["converged"], "converged", bool),
+            final_delta=float(_typed(doc["final_delta"], "final_delta", float, int)),
             stats=_stats_from_json(doc["stats"], len(doc["w"])),
             hyper=_hyper_from_json(doc["hyper"]),
             columns=_columns_from_json(doc["columns"]),

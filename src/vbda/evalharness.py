@@ -23,11 +23,10 @@ after a single update cycle and at convergence, since the consistency
 guarantee holds for any cycle count >= 1 and the two can differ in practice.
 Each replicate is reduced to its statistics and then to its ten numbers
 before the next is drawn, and both curves come from one fixed point: the
-single-cycle iterate is where the converged fit continues from.  Under
-independence the statistics are drawn from their exact laws
-(``simgen._draw_moments``), in O(p) at any n; a correlated setting is drawn
-as data (``simgen._draw``: no names, no split), since its variables are
-coupled.
+single-cycle iterate is where the converged fit continues from.  The
+statistics of every setting are drawn from their exact laws
+(``simgen._draw_moments``), not as data, so a replicate costs O(p) time and
+memory at any n.
 """
 
 from __future__ import annotations
@@ -43,10 +42,9 @@ from .core import (
     _group_centers,
     _moments,
     _stats_from_moments,
-    compute_stats,
 )
 from .rcvb import _FITTERS, _fit, _rule, _score
-from .simgen import SimSetting, _draw, _draw_moments, _signal_mask, derive_seed
+from .simgen import SimSetting, _draw_moments, _signal_mask, derive_seed
 
 __all__ = [
     "EvalReport",
@@ -290,13 +288,8 @@ def consistency_experiment(
 def _consistency_cell(s: SimSetting, h: Hyperparameters, model: str,
                       truth: np.ndarray) -> list:
     """(E, e0, e1, fp, fn) after one cycle and at convergence for one fresh
-    draw of ``s``.  The draw has no names and lives only in this call, so no
-    replicate is held while the next is drawn."""
-    if s.cov_spec == "independence":
-        stats = _stats_from_moments(*_draw_moments(s))
-    else:
-        X, y, _, _ = _draw(s)
-        stats = compute_stats(Dataset(X, y))
+    draw of the statistics of ``s``, which lives only in this call."""
+    stats = _stats_from_moments(*_draw_moments(s))
     f = _fit(stats, replace(h, max_cycles=1), model)
     out = [_selection_errors(f.w, truth, h.c_w)]
     if not f.converged and h.max_cycles > 1:

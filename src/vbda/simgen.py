@@ -16,10 +16,9 @@ regime where the quadratic model should win.
 
 ``generate`` wraps the private ``_draw``, which makes every random draw of a
 replicate and returns the bare matrix and labels; ``generate`` splits them
-into Datasets named v1..vp.  The consistency experiment calls ``_draw``
-itself, so its replicates build no names.  Under independence it calls
-``_draw_moments`` instead, which draws the training split's group moments
-from their exact laws, with no data.
+into Datasets named v1..vp.  The consistency experiment draws no data: it
+calls ``_draw_moments``, which draws the training split's group moments of
+any setting from their exact laws in O(p), whatever n.
 """
 
 from __future__ import annotations
@@ -268,32 +267,96 @@ def _draw(s: SimSetting):
 
 
 def _draw_moments(s: SimSetting):
-    """The training split's group moments under independence, drawn from their
-    exact laws with no data: ``(centers, m0, m1)`` for
-    ``core._stats_from_moments``, in O(p) time and memory at any n.
+    """The training split's group moments, drawn from their exact laws with
+    no data: ``(centers, m0, m1)`` for ``core._stats_from_moments``, in O(p)
+    time and memory at any n.
 
     The group-1 count n1 is Binomial(n, 1/2), redrawn as ``_draw`` redraws
-    its labels.  Given n1, group g's column means are
-    N(mu_g, sigma_g^2 / n_g), and its sums of squares about them,
-    Q_g = sigma_g^2 chi^2_{n_g - 1}, are independent of the means; the sums
-    about the centers are S_g = 0.  So the statistics have the law of
-    ``compute_stats`` on a ``_draw`` of an independence setting, though not
-    its values.  The splits other than training are not drawn.
+    its labels.  Given n1, group g's rows are mu_g + sigma_g z with z a row
+    of the setting's correlated normals.  So its column means are
+    mu_g + sigma_g a_g / sqrt(n_g), with a_g one such row, and by a Helmert
+    rotation its sums of squares about them are Q_g = sigma_g^2 W_g,
+    independent of the means, with W_g the diagonal of a Wishart matrix on
+    m = n_g - 1 degrees of freedom (``_standard_moments``).  The sums about
+    the centers are S_g = 0.  So the statistics have the law of
+    ``compute_stats`` on a ``_draw`` of ``s``, though not its values.  The
+    splits other than training are not drawn.
     """
     rng = np.random.default_rng(s.seed)
     mu1, sigma0 = _means_and_scales(s, rng)
     n = s.n_train
     n1 = _redraw_labels(lambda: int(rng.binomial(n, 0.5)), int, n)
     counts = np.array([[n - n1], [n1]])
+    centers, Q = _standard_moments(s, counts - 1, rng)
     # Group 0 has mean 0 and group 1 unit scale, so each takes one update.
-    centers = rng.standard_normal((2, s.p))
     centers[0] *= sigma0
     centers /= np.sqrt(counts)
     centers[1] += mu1
-    Q = rng.chisquare(counts - 1, size=(2, s.p))
     Q[0] *= sigma0 * sigma0
     zero = np.zeros(s.p)
     return centers, (n - n1, zero, Q[0]), (n1, zero, Q[1])
+
+
+def _standard_moments(s: SimSetting, dof: np.ndarray, rng: np.random.Generator):
+    """``(a, W)``, each 2-by-p: row g of ``a`` is one row of the correlated
+    normals of ``s``, and row g of ``W`` holds W_j = ||H_j||^2 for the
+    columns H_j of an independent m-by-p matrix of such rows, m = dof[g].
+
+    * Independence: the W_j are chi^2_m.
+    * Uniform: H_j = sqrt(rho) g + sqrt(1 - rho) E_j, so given G = ||g||^2,
+      drawn chi^2_m once per group, the W_j are independent, (1 - rho) times
+      a noncentral chi^2_m with noncentrality rho G / (1 - rho).
+    * AR(1): ``a`` takes ``ar1_sample``'s recursion over plain floats, with
+      the same values, and ``W`` the chain of ``_ar1_gram_diagonal``.
+    """
+    rho = _RHO[s.cov_spec]
+    if s.cov_spec == "independence":
+        return rng.standard_normal((2, s.p)), rng.chisquare(dof, size=(2, s.p))
+    if s.cov_spec == "uniform":
+        a = uniform_corr_sample(s.p, rho, 2, rng)
+        W = [rng.noncentral_chisquare(m, rho * rng.chisquare(m) / (1.0 - rho), size=s.p)
+             for m in dof.ravel().tolist()]
+        return a, (1.0 - rho) * np.stack(W)
+    block = _BLOCK_SIZE if s.cov_spec == "block_ar1" else s.p
+    a = [_ar1_chain(row, rho, block) for row in rng.standard_normal((2, s.p)).tolist()]
+    W = [_ar1_gram_diagonal(m, rho, block, s.p, rng) for m in dof.ravel().tolist()]
+    return np.array(a), np.array(W)
+
+
+def _ar1_chain(e: list, rho: float, block: int) -> list:
+    """x_j = e_j at each chain start (every ``block`` entries), else
+    rho x_{j-1} + sqrt(1 - rho^2) e_j: one row of ``ar1_sample``."""
+    c = math.sqrt(1.0 - rho * rho)
+    x, out = 0.0, []
+    for j, e_j in enumerate(e):
+        x = e_j if j % block == 0 else rho * x + c * e_j
+        out.append(x)
+    return out
+
+
+def _ar1_gram_diagonal(m: int, rho: float, block: int, p: int,
+                       rng: np.random.Generator) -> list:
+    """W_j = ||H_j||^2 for the AR(1) columns H_j = rho H_{j-1} + c E_j of an
+    m-by-p matrix, c = sqrt(1 - rho^2), E_j ~ N(0, I_m), in chains of
+    ``block`` columns.  A chain starts at W ~ chi^2_m.  By rotational
+    invariance the law of ||H_j||^2 given H_{j-1} depends only on W_{j-1}:
+    W_j = (rho sqrt(W_{j-1}) + c z_j)^2 + c^2 V_j, with z_j ~ N(0, 1) the
+    part of E_j along H_{j-1} and V_j ~ chi^2_{m-1} the rest (0 when
+    m = 1, which numpy's chisquare rejects)."""
+    c2 = 1.0 - rho * rho
+    c = math.sqrt(c2)
+    chains, steps = p // block, (p // block, block - 1)
+    starts = rng.chisquare(m, size=chains).tolist()
+    z = rng.standard_normal(steps).tolist()
+    v = rng.chisquare(m - 1, size=steps).tolist() if m > 1 else [[0.0] * (block - 1)] * chains
+    out = []
+    for w, z_chain, v_chain in zip(starts, z, v):
+        out.append(w)
+        for z_j, v_j in zip(z_chain, v_chain):
+            h = rho * math.sqrt(w) + c * z_j
+            w = h * h + c2 * v_j
+            out.append(w)
+    return out
 
 
 def _signal_mask(s: SimSetting) -> np.ndarray:

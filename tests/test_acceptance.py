@@ -185,6 +185,28 @@ def test_criterion_5_selection_errors_shrink_with_n():
     assert secs < 300.0
 
 
+@pytest.mark.parametrize("index", [5, 9, 13])
+def test_criterion_5_correlated_settings_recover_at_large_n(index):
+    """The correlated counterpart of ``vbda consistency --n
+    10000,100000,1000000``: block AR(1), global AR(1) and uniform settings
+    reach exact recovery by n = 10^5.  Their replicates are drawn as
+    statistics, so this costs O(p) per replicate; drawn as data, each
+    n = 10^5 replicate would be a 400 MB matrix."""
+    t0 = time.perf_counter()
+    res = consistency_experiment(setting_from_index(index), ns=(100, 10**4, 10**5),
+                                 reps=25, seed=42)
+    conv = res.at_convergence
+    med_e = conv.median("E")
+    secs = elapsed(t0)
+    print(f"\ncriterion 5, setting {index}: converged median E over n=(100,1e4,1e5) = "
+          f"{np.round(med_e, 3).tolist()} (require strictly decreasing), "
+          f"max FP/FN at 1e5 = {conv.fp[-1].max():.0f}/{conv.fn[-1].max():.0f} "
+          f"(require 0/0); in {secs:.2f}s (require < 10s)")
+    assert med_e[0] > med_e[1] > med_e[2]
+    assert np.all(conv.fp[-1] == 0) and np.all(conv.fn[-1] == 0)
+    assert secs < 10.0
+
+
 @pytest.mark.slow
 def test_criterion_6_variance_signals_favor_quadratic_model():
     """Group-variance signal flips the model ranking; equal variances do not."""

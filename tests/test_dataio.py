@@ -368,6 +368,19 @@ class TestStatePersistence:
         save_state(load_state(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_exact_zero_and_one_entries_load(self, fitted, tmp_path):
+        # Entries of w equal to 0 or 1, as floats or integers, are numbers,
+        # not the bools a hand-edited state may hold; they load and resave.
+        p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
+        save_state(fitted, p1)
+        doc = json.loads(p1.read_text())
+        doc["w"][:3] = [0.0, 1.0, 1]
+        p1.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        back = load_state(p1)
+        np.testing.assert_array_equal(back.w[:3], [0.0, 1.0, 1.0])
+        save_state(back, p2)
+        assert json.loads(p2.read_text())["w"][:3] == [0.0, 1.0, 1.0]
+
     def test_compact_sorted_one_line(self, fitted, tmp_path):
         path = tmp_path / "s.json"
         save_state(fitted, path)
@@ -485,9 +498,20 @@ class TestStatePersistence:
             ("columns", [1, 2, 3, 4, 5], "columns must be a list of strings"),
             ("columns", ["a", "b", None, "d", "e"], "columns must be a list of strings"),
             ("columns", "abcde", "columns must be a list of strings"),
+            ("cycles_run", 7.5, "cycles_run must be int, got 7.5"),
+            ("cycles_run", "7", "cycles_run must be int, got '7'"),
+            ("cycles_run", True, "cycles_run must be int, got True"),
+            ("converged", "false", "converged must be bool, got 'false'"),
+            ("converged", 0, "converged must be bool, got 0"),
+            ("final_delta", "0.1", "final_delta must be float or int, got '0.1'"),
+            ("w", ["0.5", 0.5, 0.5, 0.5, 0.5], "could not convert w: not a list of numbers"),
+            ("w", [True, 0.5, 0.5, 0.5, 0.5], "could not convert w: not a list of numbers"),
+            ("w", [False] * 5, "could not convert w: not a list of numbers"),
         ],
         ids=["unknown_hyper_key", "hyper_list", "nan_a_y", "inf_kappa", "int_columns",
-             "null_column", "string_columns"],
+             "null_column", "string_columns", "fractional_cycles", "text_cycles",
+             "bool_cycles", "text_converged", "int_converged", "text_final_delta",
+             "text_w_entry", "bool_w_entry", "bool_w"],
     )
     def test_invalid_header_fields_rejected(self, fitted, tmp_path, key, value, message):
         # Unchecked, a non-string column loads and predict then blames the
@@ -512,9 +536,18 @@ class TestStatePersistence:
             ("floored", lambda v: v + [False], r"floored has shape \(6,\)"),
             ("n0", lambda v: 1, "n0 >= 2"),
             ("n", lambda v: v + 1, r"n = n1 \+ n0"),
+            ("n", lambda v: v + 0.7, r"stats n must be int, got 30.7"),
+            ("n1", lambda v: True, "stats n1 must be int, got True"),
+            ("n0", lambda v: str(v), "stats n0 must be int, got '15'"),
+            ("mu1_hat", lambda v: [True] + v[1:], "could not convert stats mu1_hat"),
+            ("var0", lambda v: ["1.5"] + v[1:], "could not convert stats var0"),
+            ("floored", lambda v: ["false"] * len(v), "floored must be a list of booleans"),
+            ("floored", lambda v: [0] * len(v), "floored must be a list of booleans"),
         ],
         ids=["short_var_pooled", "negative_var_pooled", "zero_var1", "text_var_pooled",
-             "nan_mu1_hat", "long_floored", "n0_below_2", "n_not_n1_plus_n0"],
+             "nan_mu1_hat", "long_floored", "n0_below_2", "n_not_n1_plus_n0",
+             "fractional_n", "bool_n1", "text_n0", "bool_mu1_hat_entry", "text_var0_entry",
+             "text_floored", "int_floored"],
     )
     def test_invalid_stats_rejected(self, fitted, tmp_path, key, corrupt, message):
         path = tmp_path / "s.json"

@@ -17,11 +17,9 @@ from vbda import (
     Hyperparameters,
     SimSetting,
     classification_error,
-    compute_stats,
     consistency_experiment,
     fit_vlda,
     fit_vqda,
-    generate,
     kfold_cv,
     mcc,
     predict,
@@ -471,18 +469,20 @@ class TestConsistencyExperiment:
         calls = []
         original = core._stats_from_moments
 
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
+        def counting(path):
+            def count(*args):
+                calls.append(path)
+                return original(*args)
+            return count
 
-        # The statistics of drawn data are built in core, drawn moments'
-        # in evalharness; setting 1 takes the second path, setting 5 the first.
-        monkeypatch.setattr(core, "_stats_from_moments", counting)
-        monkeypatch.setattr(evalharness, "_stats_from_moments", counting)
+        # Every setting's statistics are built from drawn moments in
+        # evalharness; statistics of data would be built in core.
+        monkeypatch.setattr(core, "_stats_from_moments", counting("data"))
+        monkeypatch.setattr(evalharness, "_stats_from_moments", counting("moments"))
         for index in (1, 5):
             calls.clear()
             consistency_experiment(setting_from_index(index, p=200), (20, 40), 3)
-            assert len(calls) == 6  # 2 training sizes x 3 replicates
+            assert calls == ["moments"] * 6  # 2 training sizes x 3 replicates
 
     def test_hyper_threshold_respected(self):
         s = SimSetting(mean_spec="custom", cov_spec="independence",
@@ -494,8 +494,8 @@ class TestConsistencyExperiment:
 
 
 class TestConsistencyAtLargeN:
-    """Independence settings are drawn as statistics, so a cell costs O(p)
-    at any n, and n reaches the regime where log b_gamma grows."""
+    """Replicates are drawn as statistics, so a cell costs O(p) at any n,
+    and n reaches the regime where log b_gamma grows."""
 
     def test_memory_flat_in_n(self):
         # A data draw would hold an n-by-p matrix: 80 MB at n = 10**4, so the
@@ -521,15 +521,44 @@ class TestConsistencyAtLargeN:
         assert np.all(conv.fp[-1] == 0) and np.all(conv.fn[-1] == 0)
 
 
-def _named_replicate_stats(s, h):
-    """Statistics and truth of a full named replicate from ``generate``."""
-    r = generate(s)
-    return compute_stats(r.train), r.gamma_true
+def _standard_moments_plain(s, n0, n1, rng):
+    """Two correlated normal rows and each group's Wishart diagonal, drawn
+    the plain way: the rows by ``ar1_sample``'s column recursion or the
+    one-factor form, the diagonals of AR(1) by the chain of squared norms
+    and of uniform correlation by a noncentral chi-square given the factor."""
+    p = s.p
+    if s.cov_spec == "independence":
+        return rng.standard_normal((2, p)), rng.chisquare([[n0 - 1], [n1 - 1]], size=(2, p))
+    rho = {"block_ar1": 0.6, "global_ar1": 0.9, "uniform": 0.8}[s.cov_spec]
+    if s.cov_spec == "uniform":
+        g = rng.standard_normal((2, 1))
+        a = np.sqrt(rho) * g + np.sqrt(1.0 - rho) * rng.standard_normal((2, p))
+        W = []
+        for m in (n0 - 1, n1 - 1):
+            G = rng.chisquare(m)
+            W.append((1.0 - rho) * rng.noncentral_chisquare(m, rho * G / (1.0 - rho), size=p))
+        return a, np.array(W)
+    block = 100 if s.cov_spec == "block_ar1" else p
+    c2 = 1.0 - rho * rho
+    a = rng.standard_normal((2, p))
+    for j in range(1, p):
+        if j % block:
+            a[:, j] = rho * a[:, j - 1] + np.sqrt(c2) * a[:, j]
+    chains = p // block
+    W = np.zeros((2, chains, block))
+    for g, m in enumerate((n0 - 1, n1 - 1)):
+        W[g, :, 0] = rng.chisquare(m, size=chains)
+        z = rng.standard_normal((chains, block - 1))
+        v = rng.chisquare(m - 1, size=(chains, block - 1)) if m > 1 else np.zeros(z.shape)
+        for i in range(1, block):
+            h = rho * np.sqrt(W[g, :, i - 1]) + np.sqrt(c2) * z[:, i - 1]
+            W[g, :, i] = h * h + c2 * v[:, i - 1]
+    return a, W.reshape(2, p)
 
 
 def _drawn_moment_stats(s, h):
-    """Statistics and truth of an independence replicate, drawn the plain
-    way from the exact laws of its group means and variances."""
+    """Statistics and truth of a replicate, drawn the plain way from the
+    exact laws of its group means and sums of squares."""
     rng = np.random.default_rng(s.seed)
     mu1, sigma0 = np.zeros(s.p), np.ones(s.p)
     if s.mean_spec == "s4":
@@ -542,8 +571,7 @@ def _drawn_moment_stats(s, h):
     while not 2 <= n1 <= n - 2:
         n1 = int(rng.binomial(n, 0.5))
     n0 = n - n1
-    z = rng.standard_normal((2, s.p))
-    chi2 = rng.chisquare([[n0 - 1], [n1 - 1]], size=(2, s.p))
+    z, chi2 = _standard_moments_plain(s, n0, n1, rng)
     mu0_hat = sigma0 * z[0] / np.sqrt(n0)
     mu1_hat = mu1 + z[1] / np.sqrt(n1)
     var0, var1 = sigma0 ** 2 * chi2[0] / n0, chi2[1] / n1
@@ -595,10 +623,10 @@ _CUSTOM_HETERO = SimSetting(mean_spec="custom", signal_count=3, signal_mean=1.5,
 
 
 class TestConsistencyParity:
-    """``consistency_experiment`` draws nameless replicates, or under
-    independence their statistics, and continues the converged fit from the
-    single-cycle iterate; its curves must equal, bit for bit, those of the
-    same draws made the plain way and fitted twice from scratch."""
+    """``consistency_experiment`` draws each replicate's statistics and
+    continues the converged fit from the single-cycle iterate; its curves
+    must equal, bit for bit, those of the same draws made the plain way and
+    fitted twice from scratch."""
 
     @pytest.mark.parametrize("model", ["vlda", "vqda"])
     @pytest.mark.parametrize("setting, ns, reps, h", [
@@ -612,11 +640,14 @@ class TestConsistencyParity:
         (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters(eps=1e6)),
         (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters(max_cycles=1)),
         (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters(max_cycles=2)),
+        # n = 4 and 5: a group of two rows, whose sums of squares have m = 1
+        (setting_from_index(9, p=200), (4, 5), 3, Hyperparameters()),
+        (setting_from_index(13, p=200), (4, 5), 3, Hyperparameters()),
     ], ids=["s5", "s8", "s11", "s16_r", "custom_hetero", "eps_met_at_once",
-            "max_cycles_1", "max_cycles_2"])
+            "max_cycles_1", "max_cycles_2", "ar1_two_rows", "uniform_two_rows"])
     def test_matches_fresh_named_replicates(self, setting, ns, reps, h, model):
         res = consistency_experiment(setting, ns, reps, h=h, seed=4, model=model)
-        ref = _reference_consistency(setting, ns, reps, h, 4, model, _named_replicate_stats)
+        ref = _reference_consistency(setting, ns, reps, h, 4, model, _drawn_moment_stats)
         _assert_curves_equal(res, ref, ns, reps)
 
     @pytest.mark.parametrize("model", ["vlda", "vqda"])
@@ -650,17 +681,19 @@ class TestConsistencyParity:
         assert cycles == [1, 1]
 
     def test_peak_memory_one_replicate(self):
-        # tracemalloc sees numpy's buffers.  One n = 100 draw is the floor;
-        # holding the n = 50 replicate while drawing the next, or building
-        # the v1..vp names, pushes the peak past 1.5 matrices.  A correlated
-        # setting, since only those are drawn as data.
+        # tracemalloc sees numpy's buffers and Python's floats.  A replicate
+        # is drawn as statistics, with no data, so at n = 10**5 the peak is a
+        # small multiple of one p-vector: about 26 of them, for the AR(1)
+        # chains' float lists and then the statistics and the fit.  Holding
+        # the n = 50000 replicate while drawing the next would add about 8,
+        # and a data draw 10**5 of them.
         s = SimSetting(mean_spec="custom", cov_spec="block_ar1", signal_count=20,
-                       signal_mean=4.0, p=20000)
+                       signal_mean=4.0, p=5000)
         consistency_experiment(s, (10, 20), 1)  # first-call allocations
         tracemalloc.start()
         try:
-            consistency_experiment(s, (50, 100), 1)
+            consistency_experiment(s, (50000, 100000), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * (100 * 20000 * 8)
+        assert peak < 32 * (s.p * 8)

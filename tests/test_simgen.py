@@ -319,9 +319,23 @@ class TestDraw:
         assert all(d.columns == tuple(f"v{j + 1}" for j in range(s.p)) for d in splits)
 
 
+def _lag1(x):
+    return np.corrcoef(x[:-1], x[1:])[0, 1]
+
+
+def _replicate_summaries(st, signal):
+    """Summaries of one replicate's statistics, each over many columns.
+    Values are not pooled across columns: under uniform correlation the
+    shared factor makes pooled columns far from independent."""
+    var0, gap = st.var0[~signal], (st.mu1_hat - st.mu0_hat)[~signal]
+    return (var0.mean(), _lag1(var0), gap.std(), _lag1(gap), gap.mean(),
+            st.var1[~signal].mean(), st.var0[signal].mean(),
+            (st.mu1_hat - st.mu0_hat)[signal].mean())
+
+
 class TestDrawMoments:
-    """``_draw_moments`` draws an independence setting's training statistics
-    from their exact laws: the law of the statistics of ``_draw``'s data."""
+    """``_draw_moments`` draws a setting's training statistics from their
+    exact laws: the law of the statistics of ``_draw``'s data."""
 
     @pytest.mark.parametrize("index", [1, 4])
     def test_same_law_as_statistics_of_data(self, index):
@@ -342,3 +356,48 @@ class TestDrawMoments:
         for k, name in enumerate(("noise lambda", "signal var0", "signal mean gap")):
             a, b = (np.concatenate([r[k] for r in samples[path]]) for path in samples)
             assert stats.ks_2samp(a, b).pvalue > 1e-3, name
+
+    @pytest.mark.parametrize("base", [
+        setting_from_index(5, p=200),
+        setting_from_index(9, p=200),
+        setting_from_index(13, p=200),
+        SimSetting(mean_spec="custom", cov_spec="block_ar1", signal_count=20,
+                   signal_mean=1.0, delta_sigma=0.5, p=200),
+        # n = 5 puts two rows in one group: its sums of squares have m = 1
+        setting_from_index(9, p=200, n_train=5),
+    ], ids=["block_ar1", "global_ar1", "uniform", "block_ar1_hetero", "two_rows"])
+    def test_correlated_summaries_same_law(self, base):
+        # 200 replicates per path, seed 0.  Per replicate: the mean and lag-1
+        # autocorrelation of var0 over the noise columns, the SD, lag-1
+        # autocorrelation and mean of their mean gaps, the mean of their
+        # var1, and the means of the signal columns' var0 and mean gaps.
+        # Each two-sample KS test must give p > 1e-3.
+        base = replace(base, n_valid=0, n_test=0)
+        signal = np.arange(base.p) < base.p1
+        samples = {"data": [], "moments": []}
+        for rep in range(200):
+            s = replace(base, seed=derive_seed(0, rep))
+            X, y, _, _ = _draw(s)
+            samples["data"].append(_replicate_summaries(compute_stats(Dataset(X, y)), signal))
+            samples["moments"].append(
+                _replicate_summaries(_stats_from_moments(*_draw_moments(s)), signal))
+        data, moments = np.array(samples["data"]), np.array(samples["moments"])
+        for k, name in enumerate(("noise var0 mean", "noise var0 lag-1", "noise gap SD",
+                                  "noise gap lag-1", "noise gap mean", "noise var1 mean",
+                                  "signal var0 mean", "signal gap mean")):
+            assert stats.ks_2samp(data[:, k], moments[:, k]).pvalue > 1e-3, name
+
+    def test_block_ar1_chains_restart_at_block_boundaries(self):
+        # Columns 98, 99 | 100 of setting 5 are noise, with a block boundary
+        # between 99 and 100.  Over 1000 replicates the mean gaps correlate
+        # by about rho = 0.6 within a block and var0 by rho^2 = 0.36, and
+        # both by about 0 across the boundary (standard error about 0.03).
+        base = setting_from_index(5, p=200, n_valid=0, n_test=0)
+        gaps, var0s = [], []
+        for rep in range(1000):
+            st = _stats_from_moments(*_draw_moments(replace(base, seed=derive_seed(1, rep))))
+            gaps.append((st.mu1_hat - st.mu0_hat)[98:101])
+            var0s.append(st.var0[98:101])
+        for x, within in ((np.array(gaps), 0.45), (np.array(var0s), 0.25)):
+            assert np.corrcoef(x[:, 0], x[:, 1])[0, 1] > within
+            assert abs(np.corrcoef(x[:, 1], x[:, 2])[0, 1]) < 0.1
