@@ -16,8 +16,8 @@ Conventions used throughout:
   group's row count n_g and column sums S_g and sums of squares Q_g about the
   group's column means c_g: mu_g = S_g/n_g + c_g, var_g = Q_g/n_g - (S_g/n_g)^2,
   accurate at any column offset and group gap, and the null model by the law
-  of total variance.  Moments add over disjoint rows, so cross-validation
-  builds a training fold's statistics from group totals minus held-out cells.
+  of total variance.  Moments add over disjoint rows: cross-validation takes
+  held-out cells from the group totals, and the oracle adds its new row.
   ``_moments`` reads every cell through ``_tiles``, the walker that scoring
   uses too, one cache-sized tile at a time.  ``_group_centers`` rejects
   non-finite data, and ``_moments`` finite values too large to square.
@@ -372,10 +372,11 @@ def _stats_from_moments(centers: np.ndarray, m0, m1) -> VariableStats:
     return VariableStats((n1 * mu1 + n0 * mu0) / n, mu1, mu0, *variances, floored, n, n1, n0)
 
 
-def _stats_of_groups(X: np.ndarray, y: np.ndarray) -> VariableStats:
+def _group_moments(X: np.ndarray, y: np.ndarray):
+    """``(centers, m0, m1)`` of groups 0 and 1 for ``_stats_from_moments``."""
     centers = _group_centers(X, y)
     cells = [((y == g).nonzero()[0], g) for g in (0, 1)]
-    return _stats_from_moments(centers, *_moments(X, cells, centers))
+    return (centers, *_moments(X, cells, centers))
 
 
 def compute_stats(d: Dataset) -> VariableStats:
@@ -390,7 +391,7 @@ def compute_stats(d: Dataset) -> VariableStats:
     DataValidationError unless ``d`` is a valid training set.
     """
     d.validate_training()
-    return _stats_of_groups(d.X, d.y)
+    return _stats_from_moments(*_group_moments(d.X, d.y))
 
 
 def log_b_gamma(n: int, p: int, r: float, kappa: float) -> float:

@@ -25,72 +25,62 @@ from .core import (
     Dataset,
     Hyperparameters,
     VariableStats,
-    _stats_of_groups,
+    _group_moments,
+    _stats_from_moments,
     lambda_lrt_lda,
     lambda_lrt_qda,
     log_b_gamma,
     xi,
 )
 
-__all__ = [
-    "ExactPosterior",
-    "lambda_bayes_lda",
-    "lambda_bayes_qda",
-    "exact_posterior",
-]
+__all__ = ["ExactPosterior", "exact_posterior"]
 
 ENUMERATION_MAX_P = 15
 
 
-def _stats_with_new(d: Dataset, x_new: np.ndarray, y_new: int) -> VariableStats:
-    """Exact MLEs over the training data augmented with one new labeled point.
-
-    Denominators become n+1, n1+y_new, n0+1-y_new.  The enumeration below
-    needs them because the statistics genuinely depend on the hypothesised
-    label of the new observation.
+def _stats_with_new(d: Dataset, x_new) -> tuple[VariableStats, VariableStats]:
+    """Exact MLEs over the training set ``d``, which must be valid, plus the
+    new row under each hypothesised label y: item y has counts n+1, n1+y and
+    n0+1-y.  Moments add over disjoint rows (see ``core``), so item y is the
+    training moments about the training centers c with the one row
+    (1, x_new - c_y, (x_new - c_y)^2) added to group y: O(p) per label.
     """
-    d.validate_training()
-    if y_new not in (0, 1):
-        raise DataValidationError(f"y_new must be 0 or 1, got {y_new!r}")
     x_new = np.asarray(x_new, dtype=np.float64).reshape(-1)
     if x_new.shape[0] != d.p:
         raise DataValidationError(
             f"x_new has {x_new.shape[0]} entries, expected p={d.p}"
         )
-    if not np.isfinite(x_new).all():
-        raise DataValidationError("x_new contains non-finite values")
-    X_aug = np.vstack([d.X, x_new])
-    y_aug = np.concatenate([d.y, [y_new]]).astype(np.int8)
-    return _stats_of_groups(X_aug, y_aug)
+    centers, *moments = _group_moments(d.X, d.y)
+    stats = []
+    for y, (count, S, Q) in enumerate(moments):
+        with np.errstate(over="ignore"):  # a NaN, inf or overflow leaves Q non-finite
+            dev = x_new - centers[y]
+            Q = Q + dev * dev  # a new array: the training S and Q share one buffer
+        if not np.isfinite(Q).all():
+            raise DataValidationError(
+                "x_new contains non-finite values or values too large to square"
+            )
+        grown = [*moments]
+        grown[y] = count + 1, S + dev, Q
+        stats.append(_stats_from_moments(centers, *grown))
+    return tuple(stats)
 
 
-def lambda_bayes_lda(d: Dataset, x_new, y_new: int) -> np.ndarray:
-    """Exact per-variable evidence statistic for the shared-variance model.
+def _lambda_bayes(model: str, s: VariableStats, n: int) -> np.ndarray:
+    """Exact per-variable evidence statistic of ``model``, the length-p
+    vector over j, from the with-new statistics ``s`` of n training rows and
+    the new one, with counts m1 = s.n1 and m0 = s.n0:
 
-    lambda_bayes_j = lambda_lrt_j(with-new statistics) - log(n+1), where the
-    statistics include (x_new, y_new) and n is the training count.  Returns
-    the length-p vector over j.
+        VLDA: lambda_lrt_j - log(n+1),
+        VQDA: lambda_lrt_j + log(m1) + log(m0) - log 2 - 3 log(n+1)
+              - 2 xi((n+1)/2) + 2 xi(m1/2) + 2 xi(m0/2),
+
+    with the multipliers (n+1, m1, m0) inside the VQDA lambda_lrt, so that
+    asymptotically it is lambda_lrt - 2 log(n+1) + O(1/m1 + 1/m0).
     """
-    s = _stats_with_new(d, x_new, y_new)
-    return lambda_lrt_lda(s, d.n) - math.log(d.n + 1.0)
-
-
-def lambda_bayes_qda(d: Dataset, x_new, y_new: int) -> np.ndarray:
-    """Exact per-variable evidence statistic for the separate-variance model.
-
-    lambda_bayes_j = lambda_lrt_j + log(n1 + y_new) + log(n0 + 1 - y_new)
-                     - log 2 - 3 log(n+1)
-                     - 2 xi((n+1)/2) + 2 xi((n1 + y_new)/2)
-                     + 2 xi((n0 + 1 - y_new)/2),
-
-    with the with-new statistics and multipliers (n+1, n1 + y_new,
-    n0 + 1 - y_new) inside lambda_lrt.  Asymptotically this collapses to
-    lambda_lrt - 2 log(n+1) + O(1/n1 + 1/n0).
-    """
-    s = _stats_with_new(d, x_new, y_new)
-    n, n1, n0 = d.n, d.n1, d.n0
-    m1 = n1 + y_new
-    m0 = n0 + 1 - y_new
+    if model == "vlda":
+        return lambda_lrt_lda(s, n) - math.log(n + 1.0)
+    m1, m0 = s.n1, s.n0
     return (
         lambda_lrt_qda(s, n, m1, m0)
         + math.log(m1)
@@ -167,8 +157,7 @@ def exact_posterior(
         )
     if model not in ("vlda", "vqda"):
         raise DataValidationError(f"unknown model {model!r}")
-    lam_fn = lambda_bayes_lda if model == "vlda" else lambda_bayes_qda
-    lam = np.stack([lam_fn(d, x_new, 0), lam_fn(d, x_new, 1)])
+    lam = np.stack([_lambda_bayes(model, s, d.n) for s in _stats_with_new(d, x_new)])
 
     p = d.p
     n_cfg = 1 << p

@@ -294,7 +294,8 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
     quadratic rule it is then squared in place for the second matvec.  A
     row whose products overflow is rejected, as training rejects it.
 
-    ``x_new`` is a Dataset or array-like; its shape is checked at once.
+    ``x_new`` is a Dataset or array-like; its shape is checked at once, and
+    a named Dataset must hold a named fit's columns in the fit's order.
     ``rows`` picks rows of x_new without copying the others;
     cross-validation scores its held-out rows this way.
     """
@@ -306,6 +307,13 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
         raise DataValidationError(
             f"new observations have {X.shape[-1] if X.ndim else 0} columns, "
             f"fit expects {f.p}"
+        )
+    names = x_new.columns if isinstance(x_new, Dataset) else None
+    if names and f.columns and names != tuple(f.columns):
+        j = next(j for j, (a, b) in enumerate(zip(names, f.columns)) if a != b)
+        raise DataValidationError(
+            f"new observations have column {names[j]!r} at position {j + 1}, "
+            f"fit expects {f.columns[j]!r}; reorder them with align_to_columns"
         )
     s, w = f.stats, f.w
     center = 0.5 * (s.mu1_hat + s.mu0_hat)

@@ -472,7 +472,7 @@ class TestImportPath:
             conf = read_configuration(pyproject, expand=True)
         assert conf["project"]["version"] == vbda.__version__
 
-    # The package's 51 public names, sorted; each appears once.
+    # The package's 49 public names, sorted; each appears once.
     PUBLIC = [
         "COV_SPECS", "CVReport", "CapacityError", "ConsistencyCurve",
         "ConsistencyResult", "CoreError", "DataValidationError", "Dataset",
@@ -481,12 +481,11 @@ class TestImportPath:
         "SimSetting", "StateVersionError", "VariableStats", "align_to_columns",
         "ar1_sample", "classification_error", "compute_stats",
         "consistency_experiment", "derive_seed", "exact_posterior", "expit",
-        "fit_vlda", "fit_vqda", "generate", "kfold_cv", "lambda_bayes_lda",
-        "lambda_bayes_qda", "lambda_lrt_lda", "lambda_lrt_qda", "load_csv",
-        "load_state", "log_b_gamma", "mcc", "predict", "predict_coupled_vlda",
-        "predict_vlda", "predict_vqda", "save_csv", "save_state",
-        "select_variables", "selection_confusion", "setting_from_index",
-        "stratified_folds", "uniform_corr_sample", "xi",
+        "fit_vlda", "fit_vqda", "generate", "kfold_cv", "lambda_lrt_lda",
+        "lambda_lrt_qda", "load_csv", "load_state", "log_b_gamma", "mcc",
+        "predict", "predict_coupled_vlda", "predict_vlda", "predict_vqda",
+        "save_csv", "save_state", "select_variables", "selection_confusion",
+        "setting_from_index", "stratified_folds", "uniform_corr_sample", "xi",
     ]
 
     def test_public_surface(self):

@@ -207,7 +207,7 @@ class TestComputeStats:
         assert not s.floored[0]
 
     def test_with_new_hand_example(self):
-        s = _stats_with_new(hand_dataset(), np.array([5.0]), 1)
+        s = _stats_with_new(hand_dataset(), np.array([5.0]))[1]
         assert s.mu1_hat[0] == pytest.approx(11.0 / 4.0, rel=1e-15)
         assert s.mu0_hat[0] == pytest.approx(6.0, rel=1e-15)
         assert s.var_total[0] == pytest.approx(244.0 / 49.0, rel=1e-14)
@@ -217,7 +217,7 @@ class TestComputeStats:
         assert (s.n, s.n1, s.n0) == (7, 4, 3)
 
     def test_with_new_label_zero_counts(self):
-        s = _stats_with_new(hand_dataset(), np.array([5.0]), 0)
+        s = _stats_with_new(hand_dataset(), np.array([5.0]))[0]
         assert (s.n, s.n1, s.n0) == (7, 3, 4)
         assert s.mu1_hat[0] == pytest.approx(2.0, rel=1e-15)
 
@@ -262,18 +262,25 @@ class TestComputeStats:
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     @pytest.mark.invariant
-    @given(labeled_columns(), st.integers(0, 1))
-    def test_with_new_reduces_to_augmented_training(self, col_y, y_new):
+    @given(labeled_columns(), st.integers(0, 1), st.sampled_from([0.0, 1e3, 1e6]),
+           st.floats(-1e5, 1e5, allow_nan=False))
+    def test_with_new_reduces_to_augmented_training(self, col_y, y_new, offset, x_draw):
+        # The new row anywhere, far outside the data too, at column offsets
+        # up to 1e6: the statistics of the training moments plus one row
+        # match compute_stats of the stacked data.
         col, y = col_y
-        d = Dataset(col[:, None], y)
-        x_new = float(col.mean())
-        s_new = _stats_with_new(d, np.array([x_new]), y_new)
-        d_aug = Dataset(
-            np.append(col, x_new)[:, None], np.append(y, y_new)
-        )
-        s_aug = compute_stats(d_aug)
-        np.testing.assert_allclose(s_new.var_total, s_aug.var_total, rtol=1e-12)
-        np.testing.assert_allclose(s_new.var_pooled, s_aug.var_pooled, rtol=1e-12)
+        col = col + offset
+        x_new = offset + x_draw
+        s_new = _stats_with_new(Dataset(col[:, None], y), np.array([x_new]))[y_new]
+        s_aug = compute_stats(Dataset(np.append(col, x_new)[:, None], np.append(y, y_new)))
+        assert (s_new.n, s_new.n1, s_new.n0) == (s_aug.n, s_aug.n1, s_aug.n0)
+        np.testing.assert_array_equal(s_new.floored, s_aug.floored)
+        if s_aug.floored[0]:
+            return
+        for name in ("mu_hat", "mu1_hat", "mu0_hat", "var_total", "var_pooled",
+                     "var1", "var0"):
+            np.testing.assert_allclose(getattr(s_new, name), getattr(s_aug, name),
+                                       rtol=1e-12, err_msg=name)
 
 
 class TestTiledMoments:
@@ -498,12 +505,12 @@ class TestLambdaStatistics:
         )
 
     def test_with_new_lda_hand_value(self):
-        s = _stats_with_new(hand_dataset(), np.array([5.0]), 1)
+        s = _stats_with_new(hand_dataset(), np.array([5.0]))[1]
         # multiplier stays n+1 with n the training count: 7 * log(976/469)
         assert lambda_lrt_lda(s, 6)[0] == pytest.approx(5.130018725767692, rel=1e-13)
 
     def test_with_new_qda_hand_value(self):
-        s = _stats_with_new(hand_dataset(), np.array([5.0]), 1)
+        s = _stats_with_new(hand_dataset(), np.array([5.0]))[1]
         lam = lambda_lrt_qda(s, 6, s.n1, s.n0)[0]
         assert lam == pytest.approx(5.163910374244318, rel=1e-13)
 
@@ -542,8 +549,8 @@ class TestLambdaStatistics:
         x_new = float(np.median(col)) + 0.25
         d1 = Dataset(col[:, None], y)
         d2 = Dataset((c * col)[:, None], y)
-        s1 = _stats_with_new(d1, np.array([x_new]), y_new)
-        s2 = _stats_with_new(d2, np.array([c * x_new]), y_new)
+        s1 = _stats_with_new(d1, np.array([x_new]))[y_new]
+        s2 = _stats_with_new(d2, np.array([c * x_new]))[y_new]
         if s1.floored[0] or s2.floored[0]:
             return
         n = y.size

@@ -630,38 +630,31 @@ class TestConsistencyParity:
 
     @pytest.mark.parametrize("model", ["vlda", "vqda"])
     @pytest.mark.parametrize("setting, ns, reps, h", [
+        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters()),
+        (setting_from_index(4, p=200), (20, 4000), 2, Hyperparameters()),
         (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters()),
         (setting_from_index(8, p=200), (20, 60), 2, Hyperparameters()),
         (setting_from_index(11, p=200), (30,), 3, Hyperparameters()),
         (setting_from_index(16, p=200), (20, 40), 1, Hyperparameters(r=0.5)),
+        (_CUSTOM_HETERO, (20, 80), 2, Hyperparameters()),
         (replace(_CUSTOM_HETERO, cov_spec="block_ar1", p=100), (20, 80), 2,
          Hyperparameters()),
+        (_CUSTOM_HETERO, (4, 5), 3, Hyperparameters()),
         # the first step already meets eps, so there is no second run
+        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(eps=1e6)),
         (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters(eps=1e6)),
+        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(max_cycles=1)),
         (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters(max_cycles=1)),
+        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(max_cycles=2)),
         (setting_from_index(5, p=200), (20, 40), 2, Hyperparameters(max_cycles=2)),
         # n = 4 and 5: a group of two rows, whose sums of squares have m = 1
         (setting_from_index(9, p=200), (4, 5), 3, Hyperparameters()),
         (setting_from_index(13, p=200), (4, 5), 3, Hyperparameters()),
-    ], ids=["s5", "s8", "s11", "s16_r", "custom_hetero", "eps_met_at_once",
-            "max_cycles_1", "max_cycles_2", "ar1_two_rows", "uniform_two_rows"])
-    def test_matches_fresh_named_replicates(self, setting, ns, reps, h, model):
-        res = consistency_experiment(setting, ns, reps, h=h, seed=4, model=model)
-        ref = _reference_consistency(setting, ns, reps, h, 4, model, _drawn_moment_stats)
-        _assert_curves_equal(res, ref, ns, reps)
-
-    @pytest.mark.parametrize("model", ["vlda", "vqda"])
-    @pytest.mark.parametrize("setting, ns, reps, h", [
-        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters()),
-        (setting_from_index(4, p=200), (20, 4000), 2, Hyperparameters()),
-        (_CUSTOM_HETERO, (20, 80), 2, Hyperparameters()),
-        (_CUSTOM_HETERO, (4, 5), 3, Hyperparameters()),
-        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(eps=1e6)),
-        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(max_cycles=1)),
-        (setting_from_index(1, p=200), (20, 40), 2, Hyperparameters(max_cycles=2)),
-    ], ids=["s1", "s4_large_n", "custom_hetero", "label_redraws", "eps_met_at_once",
-            "max_cycles_1", "max_cycles_2"])
-    def test_independence_matches_drawn_statistics(self, setting, ns, reps, h, model):
+    ], ids=["s1", "s4_large_n", "s5", "s8", "s11", "s16_r", "custom_hetero",
+            "custom_hetero_ar1", "label_redraws", "eps_met_at_once",
+            "eps_met_at_once_s5", "max_cycles_1", "max_cycles_1_s5", "max_cycles_2",
+            "max_cycles_2_s5", "ar1_two_rows", "uniform_two_rows"])
+    def test_matches_drawn_statistics(self, setting, ns, reps, h, model):
         res = consistency_experiment(setting, ns, reps, h=h, seed=4, model=model)
         ref = _reference_consistency(setting, ns, reps, h, 4, model, _drawn_moment_stats)
         _assert_curves_equal(res, ref, ns, reps)

@@ -20,12 +20,10 @@ from vbda import (
     Hyperparameters,
     compute_stats,
     exact_posterior,
-    lambda_bayes_lda,
-    lambda_bayes_qda,
     lambda_lrt_lda,
     lambda_lrt_qda,
 )
-from vbda.oracle import _stats_with_new
+from vbda.oracle import _lambda_bayes, _stats_with_new
 
 from conftest import make_balanced
 from numeric_mle import numeric_lambda_lrt, numeric_mle_check
@@ -42,12 +40,8 @@ def brute_force_posterior(d, x_new, h, model="vlda"):
     """Independent enumeration over (gamma, y_new) with scalar arithmetic."""
     n, p = d.n, d.p
     b_gamma = math.exp(vbda.log_b_gamma(n, p, h.r, h.kappa))
-    lam = {}
-    for y_new in (0, 1):
-        if model == "vlda":
-            lam[y_new] = lambda_bayes_lda(d, x_new, y_new).tolist()
-        else:
-            lam[y_new] = lambda_bayes_qda(d, x_new, y_new).tolist()
+    lam = {y_new: _lambda_bayes(model, s, n).tolist()
+           for y_new, s in enumerate(_stats_with_new(d, x_new))}
     weights = {}
     for gamma in itertools.product((0, 1), repeat=p):
         k = sum(gamma)
@@ -76,12 +70,12 @@ class TestLambdaBayes:
     def test_lda_hand_value(self):
         d = Dataset(X_HAND, Y_HAND)
         # with-new ratio statistic 7 log(976/469), minus log(n+1)
-        lam = lambda_bayes_lda(d, np.array([5.0]), 1)
+        lam = _lambda_bayes("vlda", _stats_with_new(d, np.array([5.0]))[1], d.n)
         assert lam[0] == pytest.approx(3.184108576712379, rel=1e-12)
 
     def test_qda_hand_value(self):
         d = Dataset(X_HAND, Y_HAND)
-        lam = lambda_bayes_qda(d, np.array([5.0]), 1)
+        lam = _lambda_bayes("vqda", _stats_with_new(d, np.array([5.0]))[1], d.n)
         assert lam[0] == pytest.approx(1.416907382835751, rel=1e-11)
 
     @pytest.mark.invariant
@@ -89,10 +83,10 @@ class TestLambdaBayes:
     def test_lda_is_shifted_with_new_ratio(self, seed, y_new):
         d = make_balanced(12, 3, seed=seed, shift=1.0, k=1)
         x_new = np.random.default_rng(seed + 5).standard_normal(3)
-        s = _stats_with_new(d, x_new, y_new)
+        s = _stats_with_new(d, x_new)[y_new]
         expected = lambda_lrt_lda(s, d.n) - math.log(d.n + 1.0)
         np.testing.assert_allclose(
-            lambda_bayes_lda(d, x_new, y_new), expected, rtol=1e-12
+            _lambda_bayes("vlda", s, d.n), expected, rtol=1e-12
         )
 
     @pytest.mark.invariant
@@ -101,9 +95,9 @@ class TestLambdaBayes:
         # large-n behavior: lambda_bayes ~ lambda_lrt - 2 log(n+1)
         d = make_balanced(400, 2, seed=seed, shift=1.0, k=1)
         x_new = np.random.default_rng(seed + 5).standard_normal(2)
-        s = _stats_with_new(d, x_new, y_new)
+        s = _stats_with_new(d, x_new)[y_new]
         lam_ratio = lambda_lrt_qda(s, d.n, s.n1, s.n0)
-        lam_bayes = lambda_bayes_qda(d, x_new, y_new)
+        lam_bayes = _lambda_bayes("vqda", s, d.n)
         gap = lam_bayes - (lam_ratio - 2.0 * math.log(d.n + 1.0))
         assert np.all(np.abs(gap) < 0.05)
 
@@ -167,6 +161,17 @@ class TestExactPosterior:
         a = exact_posterior(toy_dataset, x)
         b = exact_posterior(toy_dataset, x)
         np.testing.assert_array_equal(a.log_weights, b.log_weights)
+
+    @pytest.mark.parametrize("x_new, match", [
+        (np.zeros(3), "x_new has 3 entries, expected p=4"),
+        (np.array([0.0, np.nan, 0.0, 0.0]), "x_new contains non-finite values"),
+        (np.array([0.0, 0.0, -np.inf, 0.0]), "x_new contains non-finite values"),
+        (np.array([0.0, 1e200, 0.0, 0.0]), "values too large to square"),
+    ], ids=["short", "nan", "inf", "overflow"])
+    def test_rejects_bad_new_row(self, x_new, match):
+        d = make_balanced(20, 4, seed=3, shift=2.0, k=2)
+        with pytest.raises(vbda.DataValidationError, match=match):
+            exact_posterior(d, x_new)
 
     def test_strong_signal_marginal_near_one(self):
         d = make_balanced(40, 4, seed=8, shift=3.0, k=1)

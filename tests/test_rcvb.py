@@ -493,6 +493,30 @@ class TestPredictDispatcher:
         hi = predict(f, x, replace(f.hyper, c_y=0.999))
         assert lo.labels[0] and not hi.labels[0]
 
+    @pytest.mark.parametrize("model, coupled", [
+        ("vlda", False), ("vlda", True), ("vqda", False)])
+    def test_named_rows_must_match_fit_order(self, model, coupled):
+        # Named rows in another column order are refused, not scored by
+        # position; aligned by name, they score as the fit's own order.
+        names = ("a", "b", "c", "d")
+        d = make_balanced(40, 4, seed=2, shift=2.0, k=2)
+        f = (fit_vlda if model == "vlda" else fit_vqda)(Dataset(d.X, d.y, columns=names))
+        x = np.random.default_rng(3).standard_normal((5, 4))
+        reversed_rows = Dataset(x[:, ::-1], columns=names[::-1])
+        with pytest.raises(DataValidationError, match="'d' at position 1, fit expects 'a'"
+                                                      ".*align_to_columns"):
+            predict(f, reversed_rows, coupled=coupled)
+        want = predict(f, x, coupled=coupled).y_tilde
+        aligned = vbda.align_to_columns(reversed_rows, f.columns)
+        np.testing.assert_array_equal(predict(f, aligned, coupled=coupled).y_tilde, want)
+        np.testing.assert_array_equal(
+            predict(f, Dataset(x, columns=names), coupled=coupled).y_tilde, want)
+        # Unnamed rows, or a fit without names, are scored by position.
+        unnamed_fit = replace(f, columns=None)
+        np.testing.assert_array_equal(
+            predict(unnamed_fit, reversed_rows, coupled=coupled).y_tilde,
+            predict(f, x[:, ::-1], coupled=coupled).y_tilde)
+
 
 def _wide_fit(offset: float, model: str = "vlda"):
     """60 x 500 training rows at a common column offset, with mean signal in
