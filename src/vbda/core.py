@@ -16,11 +16,14 @@ Conventions used throughout:
   group's row count n_g and column sums S_g and sums of squares Q_g about the
   group's column means c_g: mu_g = S_g/n_g + c_g, var_g = Q_g/n_g - (S_g/n_g)^2,
   accurate at any column offset and group gap, and the null model by the law
-  of total variance.  Moments add over disjoint rows: cross-validation takes
-  held-out cells from the group totals, and the oracle adds its new row.
-  ``_moments`` reads every cell through ``_tiles``, the walker that scoring
-  uses too, one cache-sized tile at a time.  ``_group_centers`` rejects
-  non-finite data, and ``_moments`` finite values too large to square.
+  of total variance.  Moments add over disjoint rows: cross-validation turns
+  each held-out cell, in place, into the group totals minus that cell, and
+  the oracle adds its new row.  ``_moments`` reads every cell through
+  ``_tiles``, the walker that scoring uses too, one cache-sized tile at a
+  time, into S and Q arrays of the cell's own, so a caller can free one cell
+  while it keeps the others.  ``_stats_from_moments`` writes its outputs in
+  place, with one scratch vector.  ``_group_centers`` rejects non-finite
+  data, and ``_moments`` finite values too large to square.
 * Variances are floored at ``_VARIANCE_FLOOR`` so constant columns degrade
   gracefully instead of producing infinities; a per-variable flag records
   where flooring happened.
@@ -105,10 +108,11 @@ class Dataset:
 
     ``y`` is None for prediction-only data.  Labels must be exactly 0 or 1.
     ``columns`` carries variable names for alignment at prediction time;
-    when absent, positional alignment is assumed.  ``X`` shares memory with
-    the input when that is already a float64 matrix: it is a read-only view
-    of the caller's array, which stays writable, so later writes to that
-    array show through in the dataset.
+    when absent, positional alignment is assumed.  Every value of ``X`` must
+    be finite; it is checked a block of rows at a time, with no n-by-p mask.
+    ``X`` shares memory with the input when that is already a float64
+    matrix: it is a read-only view of the caller's array, which stays
+    writable, so later writes to that array show through in the dataset.
     """
 
     X: np.ndarray
@@ -119,7 +123,7 @@ class Dataset:
         X = _as_matrix(self.X)
         if X.shape[1] < 1:
             raise DataValidationError("dataset needs at least one variable (p >= 1)")
-        if not np.isfinite(X).all():
+        if not _all_finite(X):
             bad = np.argwhere(~np.isfinite(X))[0]
             raise DataValidationError(
                 f"non-finite value in X at row {bad[0]}, column {bad[1]}"
@@ -300,6 +304,14 @@ def _tile_shape(m: int, p: int) -> tuple[int, int]:
     return max(1, min(m, _BLOCK // width)), width
 
 
+def _all_finite(X: np.ndarray) -> bool:
+    """Whether every value of the matrix X is finite, read by blocks of rows
+    of at most ``_BLOCK`` elements (or one row), so that no n-by-p mask is
+    made."""
+    step = max(1, _BLOCK // max(X.shape[1], 1))
+    return all(np.isfinite(X[top:top + step]).all() for top in range(0, len(X), step))
+
+
 def _tiles(X: np.ndarray, rows=None):
     """Yield (part, cols, tile) for each ``_tile_shape`` tile of X, or of
     X[rows]: ``part`` slices the m rows taken, ``cols`` the columns, and
@@ -326,14 +338,15 @@ def _moments(X: np.ndarray, cells, centers: np.ndarray) -> list:
     the column sums S and column sums of squares Q of X[rows] - centers[g].
 
     Each cell is one pass over its ``_tiles``, each tile centred in place and
-    added into its columns of S and Q.  ``_group_centers`` has already
-    rejected non-finite data, so a non-finite Q means finite values whose
-    squares (or sums) overflow; one check of Q per call finds them.
+    added into its columns of S and Q.  Every cell has arrays of its own, so
+    a caller can free one cell while it keeps the others.
+    ``_group_centers`` has already rejected non-finite data, so a non-finite
+    Q means finite values whose squares (or sums) overflow; one check of
+    each cell's Q finds them.
     """
-    S_all, Q_all = np.zeros((2, len(cells), X.shape[1]))
     moments = []
-    for (rows, g), S, Q in zip(cells, S_all, Q_all):
-        moments.append((len(rows), S, Q))
+    for rows, g in cells:
+        S, Q = np.zeros(X.shape[1]), np.zeros(X.shape[1])
         for _, cols, tile in _tiles(X, rows):
             tile -= centers[g, cols]
             S[cols] += tile.sum(axis=0)
@@ -341,8 +354,9 @@ def _moments(X: np.ndarray, cells, centers: np.ndarray) -> list:
             # Free the tile before the next gather, so that its memory is
             # reused rather than fresh pages faulted in for every tile.
             del tile
-    if not np.isfinite(Q_all.max()):  # the max of Q propagates NaN
-        raise DataValidationError("training data contain values too large to square")
+        if not np.isfinite(Q.max()):  # the max of Q propagates NaN
+            raise DataValidationError("training data contain values too large to square")
+        moments.append((len(rows), S, Q))
     return moments
 
 
@@ -358,18 +372,45 @@ def _stats_from_moments(centers: np.ndarray, m0, m1) -> VariableStats:
     (n0, s0, q0), (n1, s1, q1) = m0, m1
     n = n0 + n1
     _check_counts(n, n1, n0)
-    d1, d0 = s1 / n1, s0 / n0
-    var1 = np.maximum(q1 / n1 - d1 * d1, 0.0)
-    var0 = np.maximum(q0 / n0 - d0 * d0, 0.0)
-    mu1, mu0 = d1 + centers[1], d0 + centers[0]
-    diff = (d1 - d0) + (centers[1] - centers[0])
-    var_pooled = (n1 * var1 + n0 * var0) / n
-    var_total = var_pooled + (n1 * n0 / (n * n)) * diff * diff
+    # The textbook steps in their order, written in place into the seven
+    # outputs and one scratch vector t (var_total is scratch too until its
+    # own step), so that no more than eight p-vectors are ever held:
+    #   d_g = s_g / n_g,  var_g = max(q_g / n_g - d_g d_g, 0),  mu_g = d_g + c_g,
+    #   diff = (d1 - d0) + (c1 - c0),  var_pooled = (n1 var1 + n0 var0) / n,
+    #   var_total = var_pooled + (n1 n0 / n^2) diff diff,
+    #   mu_hat = (n1 mu1 + n0 mu0) / n.
+    mu1, mu0 = s1 / n1, s0 / n0  # d1 and d0 until the centers are added
+    var1, var0 = q1 / n1, q0 / n0
+    t = mu1 * mu1
+    var1 -= t
+    np.maximum(var1, 0.0, out=var1)
+    np.multiply(mu0, mu0, out=t)
+    var0 -= t
+    np.maximum(var0, 0.0, out=var0)
+    diff = np.subtract(mu1, mu0, out=t)
+    var_total = np.subtract(centers[1], centers[0])
+    diff += var_total
+    mu1 += centers[1]
+    mu0 += centers[0]
+    var_pooled = np.multiply(n1, var1)
+    np.multiply(n0, var0, out=var_total)
+    var_pooled += var_total
+    var_pooled /= n
+    np.multiply(n1 * n0 / (n * n), diff, out=var_total)
+    var_total *= diff
+    np.add(var_pooled, var_total, out=var_total)
     # var_total >= var_pooled, so it needs no flag of its own.
     floor = _VARIANCE_FLOOR
-    floored = (var1 < floor) | (var0 < floor) | (var_pooled < floor)
-    variances = (np.maximum(v, floor) for v in (var_total, var_pooled, var1, var0))
-    return VariableStats((n1 * mu1 + n0 * mu0) / n, mu1, mu0, *variances, floored, n, n1, n0)
+    floored = var1 < floor
+    floored |= var0 < floor
+    floored |= var_pooled < floor
+    for v in (var_total, var_pooled, var1, var0):
+        np.maximum(v, floor, out=v)
+    mu_hat = np.multiply(n1, mu1)
+    np.multiply(n0, mu0, out=t)
+    mu_hat += t
+    mu_hat /= n
+    return VariableStats(mu_hat, mu1, mu0, var_total, var_pooled, var1, var0, floored, n, n1, n0)
 
 
 def _group_moments(X: np.ndarray, y: np.ndarray):

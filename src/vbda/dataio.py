@@ -30,6 +30,7 @@ from .core import (
     Dataset,
     Hyperparameters,
     VariableStats,
+    _all_finite,
     _column_names,
     _first_duplicate,
 )
@@ -129,7 +130,7 @@ def _parse_body(body: str, width: int, label_idx) -> np.ndarray | None:
                        dtype=np.float64)
     except ValueError:
         return None
-    if X.shape != (count, width) or not np.isfinite(X).all():
+    if X.shape != (count, width) or not _all_finite(X):
         return None
     if label_idx is not None and not np.isin(X[:, label_idx], (0.0, 1.0)).all():
         return None
@@ -361,8 +362,9 @@ def load_state(path) -> FitState:
 def align_to_columns(d: Dataset, columns: tuple[str, ...] | None) -> Dataset:
     """Reorder a prediction-time dataset to the training column order by name.
     Any missing or unknown column is an error; nameless data must already
-    match positionally."""
-    if columns is None:
+    match positionally.  Data already in the training order is returned as
+    it is, with no copy."""
+    if columns is None or d.columns == tuple(columns):
         return d
     if d.columns is None:
         if d.p != len(columns):

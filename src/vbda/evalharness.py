@@ -10,9 +10,11 @@ both groups appear in every training fold whenever each group has at least
 ``k`` members, and it degrades gracefully to leave-one-out (k = n), where
 folds simply alternate between the groups.  It never copies a training
 fold: one pass per repetition takes the group moments of every (fold, group)
-cell, and each training fold's statistics are built from the totals minus
-its held-out cells (see ``core``).  Both the moments and the scores of the
-held-out rows are one pass over ``core._tiles``, which gathers each
+cell, and each held-out cell becomes, in place, its training fold's group
+moments: the group totals minus the cell (see ``core``).  A fold's cells are
+freed as its statistics are built, and its statistics once it is scored, so
+the working memory shrinks fold by fold.  Both the moments and the scores of
+the held-out rows are one pass over ``core._tiles``, which gathers each
 cache-sized tile of a cell's rows once, where they lie in the data matrix.
 
 ``consistency_experiment`` tracks the soft selection errors
@@ -157,21 +159,33 @@ def _fold_stats(X: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int):
     One stable sort of the key 2 * fold + group lists the rows of all 2k
     (fold, group) cells in row order, empty cells included.  One
     ``core._moments`` call takes every cell's moments about its group's
-    full-data column means.  A group's totals are the sum of its cells, a
-    training fold's group moments the totals minus its held-out cell, and
-    ``core._stats_from_moments`` turns them into statistics, raising at the
-    first fold whose training rows are too few.
+    full-data column means.  A group's totals are the sum of its cells, and
+    each held-out cell becomes, in place, its training fold's group moments,
+    the totals minus that cell, one total at a time.  Each fold's two cells
+    are popped as ``core._stats_from_moments`` turns them into statistics,
+    raising at the first fold whose training rows are too few, so the
+    moments shrink as the folds go by.
     """
     centers = _group_centers(X, y)
     key = 2 * folds + y
     order = np.argsort(key, kind="stable")
     cells = np.split(order, np.cumsum(np.bincount(key, minlength=2 * k))[:-1])
     held = _moments(X, [(rows, c % 2) for c, rows in enumerate(cells)], centers)
-    totals = [[sum(moment) for moment in zip(*held[g::2])] for g in (0, 1)]
-    for fold in range(k):
-        yield _stats_from_moments(centers, *(
-            [t - v for t, v in zip(totals[g], held[2 * fold + g])] for g in (0, 1)
-        ))
+    for g in (0, 1):
+        held[g::2] = _complements(held[g::2])
+    for _ in range(k):
+        yield _stats_from_moments(centers, held.pop(0), held.pop(0))
+
+
+def _complements(group: list) -> list:
+    """The moments (count, S, Q) of one group's cells, each turned in place
+    into those of the rest of the group: the group's totals minus the cell."""
+    for i in (1, 2):  # S, then Q
+        total = sum(cell[i] for cell in group)
+        for cell in group:
+            np.subtract(total, cell[i], out=cell[i])
+    count = sum(cell[0] for cell in group)
+    return [(count - n_cell, S, Q) for n_cell, S, Q in group]
 
 
 def kfold_cv(
@@ -213,9 +227,12 @@ def kfold_cv(
         rng = np.random.default_rng(derive_seed(seed, rep))
         folds = stratified_folds(d.y, k, rng)
         total_wrong = 0
-        for fold, stats in enumerate(_fold_stats(d.X, d.y, folds, k)):
+        fold_stats = _fold_stats(d.X, d.y, folds, k)
+        for fold in range(k):
+            # No name holds a fold's statistics, so they are freed before
+            # the next fold's are built.
             test_idx = np.flatnonzero(folds == fold)
-            pred = _score(_fit(stats, h, model), d, h, rule, rows=test_idx)
+            pred = _score(_fit(next(fold_stats), h, model), d, h, rule, rows=test_idx)
             total_wrong += int(np.sum(pred.labels != d.y[test_idx].astype(bool)))
         reports.append(EvalReport(m=d.n, misclassified=total_wrong, error=total_wrong / d.n))
     return CVReport(model=model, k=k, reps=tuple(reports))

@@ -55,7 +55,7 @@ def _stats_with_new(d: Dataset, x_new) -> tuple[VariableStats, VariableStats]:
     for y, (count, S, Q) in enumerate(moments):
         with np.errstate(over="ignore"):  # a NaN, inf or overflow leaves Q non-finite
             dev = x_new - centers[y]
-            Q = Q + dev * dev  # a new array: the training S and Q share one buffer
+            Q = Q + dev * dev  # a new array: the training Q serves both labels
         if not np.isfinite(Q).all():
             raise DataValidationError(
                 "x_new contains non-finite values or values too large to square"
@@ -119,7 +119,9 @@ class ExactPosterior:
     ``gammas`` with new label y, up to one additive constant shared by every
     configuration (the product of null-model marginals, which cancels from
     all posterior quantities).  ``log_marginal`` is the log-sum-exp of the
-    weights modulo the same constant.
+    weights modulo the same constant.  ``gamma_marginals`` and
+    ``y_marginal`` are clipped to [0, 1], which their sums can pass by
+    rounding.
     """
 
     gammas: np.ndarray
@@ -176,8 +178,9 @@ def exact_posterior(
         log_weights[:, y] = log_label_prior + prior_by_count[k] + 0.5 * (gammas @ lam[y])
     log_marginal = float(logsumexp(log_weights))
     post = np.exp(log_weights - log_marginal)
-    y_marginal = float(post[:, 1].sum())
-    gamma_marginals = post.sum(axis=1) @ gammas
+    # Rounding can carry a sum of probabilities a few ulps past 1.
+    y_marginal = float(np.clip(post[:, 1].sum(), 0.0, 1.0))
+    gamma_marginals = np.clip(post.sum(axis=1) @ gammas, 0.0, 1.0)
     return ExactPosterior(
         gammas=gammas.astype(np.int8),
         log_weights=log_weights,

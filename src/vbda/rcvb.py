@@ -176,7 +176,8 @@ def _batch_fixed_point(
     delta = math.inf
     cycles = 0
     with np.errstate(over="ignore"):
-        g = np.exp(log_b - offset)
+        g = np.subtract(log_b, offset)
+        np.exp(g, out=g)
         for _ in range(h.max_cycles):
             np.subtract(x.sum(), x, out=nxt)  # S_-i
             np.subtract(x.shape[0] - 1.0, nxt, out=step)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,3 +91,15 @@ def tiled_data(n: int, p: int, offset: float):
     X[y == 1, :5] += 1.5
     X[y == 1, 5:10] *= 2.0
     return X, y
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of a second ``call()``: the first one
+    makes the allocations that only a first call makes."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -9,7 +9,6 @@ pooled 67/28, group-1 variance 35/16.
 
 import math
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,7 +35,7 @@ from vbda import (
 from vbda import core
 from vbda.oracle import _stats_with_new
 
-from conftest import log_gaussian_density, numpy_stats, tiled_data
+from conftest import log_gaussian_density, numpy_stats, tiled_data, traced_peak
 
 X_HAND = np.array([[1.0], [2.0], [3.0], [4.0], [6.0], [8.0]])
 Y_HAND = np.array([1, 1, 1, 0, 0, 0])
@@ -97,12 +96,18 @@ class TestDataset:
         with pytest.raises(DataValidationError):
             Dataset(X, Y_HAND)
 
+    @pytest.mark.parametrize("block", [None, 6, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_error_names_the_first_cell(self, bad):
+    def test_nonfinite_error_names_the_first_cell(self, bad, block, monkeypatch):
+        # Finiteness is read by row blocks: the whole matrix at the default
+        # block, two rows of three per block at 6 and one row at 2.
+        if block is not None:
+            monkeypatch.setattr(core, "_BLOCK", block)
         X = np.ones((4, 3))
         X[2, 1] = X[3, 0] = bad
         with pytest.raises(DataValidationError, match="at row 2, column 1$"):
             Dataset(X)
+        assert Dataset(np.ones((4, 3))).n == 4
 
     def test_accepts_extreme_finite_values(self):
         X = np.full((3, 4), 1e308)
@@ -320,14 +325,27 @@ class TestTiledMoments:
         # A group of 50 x 20000 is 8 MB: a whole-group copy puts the peak
         # near 9 MB, while one 512 KB tile at a time keeps it near 3 MB.
         d = Dataset(*tiled_data(100, 20000, 0.0))
-        compute_stats(d)
-        tracemalloc.start()
-        try:
-            compute_stats(d)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: compute_stats(d))
         assert peak < 5_000_000, peak
+
+
+class TestWorkingMemory:
+    """tracemalloc peaks in p-vectors (p float64 values).  At this p one
+    512 KB tile is less than one p-vector, so a whole n-by-p temporary, or
+    a few more p-vectors held at once, shows."""
+
+    n, p = 20, 100_000
+
+    def test_dataset_checks_finiteness_in_row_blocks(self):
+        # A mask of the whole matrix would take n bytes per column.
+        X, y = tiled_data(self.n, self.p, 0.0)
+        assert traced_peak(lambda: Dataset(X, y)) < self.p * 8
+
+    def test_compute_stats(self):
+        # The centers (2), the moments of two groups (4), and the seven
+        # statistics built with one scratch vector (8).
+        d = Dataset(*tiled_data(self.n, self.p, 0.0))
+        assert traced_peak(lambda: compute_stats(d)) <= 16 * self.p * 8
 
 
 class TestTiles:

@@ -586,6 +586,25 @@ class TestAlignToColumns:
         with pytest.raises(DataValidationError, match="2 columns, model expects 3"):
             align_to_columns(d, ("a", "b", "c"))
 
+    def test_aligned_input_is_returned_as_is(self):
+        # Aligned data is not copied: at 100 x 200000 the copy took 226 ms.
+        d = make_balanced(40, 6, seed=2, shift=2.0, k=2)
+        named = Dataset(d.X, d.y, columns=tuple("abcdef"))
+        f = fit_vlda(named)
+        out = align_to_columns(named, list(f.columns))
+        assert out is named
+        ref = predict(f, np.array(named.X))
+        got = predict(f, out)
+        np.testing.assert_array_equal(got.score, ref.score)
+        np.testing.assert_array_equal(got.labels, ref.labels)
+        # A permutation of the same names is still reordered, and scores alike.
+        perm = [3, 0, 5, 1, 4, 2]
+        shuffled = Dataset(named.X[:, perm], columns=tuple("abcdef"[j] for j in perm))
+        back = align_to_columns(shuffled, f.columns)
+        assert back is not shuffled and back.columns == f.columns
+        np.testing.assert_array_equal(back.X, named.X)
+        np.testing.assert_array_equal(predict(f, back).score, ref.score)
+
     def test_model_without_names_accepts_anything(self):
         d = Dataset(np.array([[1.0, 2.0]]), columns=("x", "y"))
         assert align_to_columns(d, None) is d

@@ -31,7 +31,7 @@ from vbda import core, evalharness, rcvb
 from vbda.evalharness import _fold_stats
 from vbda.simgen import MEAN_SPECS, derive_seed
 
-from conftest import make_balanced, numpy_stats, tiled_data
+from conftest import make_balanced, numpy_stats, tiled_data, traced_peak
 
 
 class TestClassificationError:
@@ -317,6 +317,16 @@ class TestFoldMoments:
             _, floored, _ = numpy_stats(d.X[train], d.y[train], 1e-12)
             np.testing.assert_array_equal(s.floored, floored)
             assert s.floored[5] and s.floored[6] and not s.floored[0]
+
+    def test_peak_memory_two_folds(self):
+        # In p-vectors: the centers (2), one fold's training moments (4)
+        # while the other fold's are built into statistics (8), then the
+        # fit and the scoring of one fold beside them.  Each held-out cell
+        # becomes its training moments in place, and each fold's moments
+        # and statistics are freed before the next fold's are built.
+        n, p = 20, 100_000
+        d = Dataset(*tiled_data(n, p, 0.0))
+        assert traced_peak(lambda: kfold_cv(d, 2)) <= 22 * p * 8
 
     def test_no_per_fold_dataset_or_direct_stats(self, monkeypatch):
         # One pass per repetition: every row enters exactly one cell's
@@ -672,6 +682,13 @@ class TestConsistencyParity:
         consistency_experiment(setting_from_index(1, p=200), (20,), 2,
                                h=Hyperparameters(eps=1e6))
         assert cycles == [1, 1]
+
+    def test_peak_memory_one_cell(self):
+        # In p-vectors: the drawn moments (5) while the statistics are built
+        # (8), then the statistics (7) beside the fixed point's vectors.
+        s = SimSetting(mean_spec="custom", signal_count=20, signal_mean=4.0, p=100_000)
+        peak = traced_peak(lambda: consistency_experiment(s, (50,), 1))
+        assert peak <= 16 * s.p * 8
 
     def test_peak_memory_one_replicate(self):
         # tracemalloc sees numpy's buffers and Python's floats.  A replicate

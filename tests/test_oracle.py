@@ -173,6 +173,22 @@ class TestExactPosterior:
         with pytest.raises(vbda.DataValidationError, match=match):
             exact_posterior(d, x_new)
 
+    def test_marginals_are_probabilities(self):
+        # A new row 30 SD out at column offset 1e3 makes the sums of the
+        # posterior weights round a few ulps past 1 (1.0000000000000016).
+        rng = np.random.default_rng(69)
+        y = np.array([0, 1] * 15)
+        X = rng.standard_normal((30, 6)) + 1e3
+        X[y == 1, :3] += 2
+        x_new = X.mean(axis=0) + 30 * X.std(axis=0)
+        ep = exact_posterior(Dataset(X, y), x_new, model="vqda")
+        probs = np.exp(ep.log_weights - ep.log_marginal)
+        unclipped = probs.sum(axis=1) @ ep.gammas
+        assert unclipped.max() > 1.0
+        assert np.all((ep.gamma_marginals >= 0.0) & (ep.gamma_marginals <= 1.0))
+        assert 0.0 <= ep.y_marginal <= 1.0
+        np.testing.assert_array_equal(ep.gamma_marginals, np.minimum(unclipped, 1.0))
+
     def test_strong_signal_marginal_near_one(self):
         d = make_balanced(40, 4, seed=8, shift=3.0, k=1)
         ep = exact_posterior(d, np.zeros(4))
