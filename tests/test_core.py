@@ -96,13 +96,21 @@ class TestDataset:
         with pytest.raises(DataValidationError):
             Dataset(X, Y_HAND)
 
-    @pytest.mark.parametrize("block", [None, 6, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_error_names_the_first_cell(self, bad, block, monkeypatch):
-        # Finiteness is read by row blocks: the whole matrix at the default
-        # block, two rows of three per block at 6 and one row at 2.
-        if block is not None:
-            monkeypatch.setattr(core, "_BLOCK", block)
+    def test_nonfinite_error_names_the_first_cell(self, bad):
+        X = np.ones((4, 3))
+        X[2, 1] = X[3, 0] = bad
+        with pytest.raises(DataValidationError, match="at row 2, column 1$"):
+            Dataset(X)
+
+    @pytest.mark.parametrize("block", [6, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_error_names_the_first_cell_by_row_blocks(
+        self, bad, block, monkeypatch
+    ):
+        # Finiteness is read by row blocks: two rows of three per block at 6
+        # and one row at 2.
+        monkeypatch.setattr(core, "_BLOCK", block)
         X = np.ones((4, 3))
         X[2, 1] = X[3, 0] = bad
         with pytest.raises(DataValidationError, match="at row 2, column 1$"):
