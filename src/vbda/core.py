@@ -18,12 +18,15 @@ Conventions used throughout:
   accurate at any column offset and group gap, and the null model by the law
   of total variance.  Moments add over disjoint rows: cross-validation turns
   each held-out cell, in place, into the group totals minus that cell, and
-  the oracle adds its new row.  ``_moments`` reads every cell through
+  the oracle adds its new row.  ``_moments`` reads every cell once, through
   ``_tiles``, the walker that scoring uses too, one cache-sized tile at a
-  time, into S and Q arrays of the cell's own, so a caller can free one cell
-  while it keeps the others.  ``_stats_from_moments`` writes its outputs in
-  place, with one scratch vector.  ``_group_centers`` rejects non-finite
-  data, and ``_moments`` finite values too large to square.
+  time, into a center, S and Q of the cell's own, so a caller can free one
+  cell while it keeps the others.  Its center is the cell's column means,
+  taken from the tiles; moments about one center move onto another by
+  ``_shift``, which is how row blocks merge and how cross-validation puts
+  its cells onto their group's center.  ``_stats_from_moments`` writes its
+  outputs in place, with one scratch vector.  ``_moments`` rejects
+  non-finite data and finite values too large to square.
 * Variances are floored at ``_VARIANCE_FLOOR`` so constant columns degrade
   gracefully instead of producing infinities; a per-variable flag records
   where flooring happened.
@@ -274,20 +277,6 @@ class VariableStats:
         return self.mu_hat.shape[0]
 
 
-def _group_centers(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows 0 and 1: the column means of groups 0 and 1, from one product.
-    Raises DataValidationError if X holds a non-finite value."""
-    onehot = np.stack([y == 0, y == 1]).astype(np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):
-        centers = (onehot @ X) / onehot.sum(axis=1)[:, None]
-    # A NaN or inf cell makes its own group's center non-finite, so checking
-    # the centers finds every one.  Finite data can only overflow a column
-    # sum here; ``_moments`` reports that as values too large to square.
-    if not np.isfinite(centers).all() and not np.isfinite(X).all():
-        raise DataValidationError("training data contain non-finite values")
-    return centers
-
-
 # Group moments and new-row scores are taken in tiles of at most _BLOCK
 # elements (512 KB of float64), so each tile stays in cache and no n-by-p
 # temporary is made.  On a 2-core Xeon with a 2 MB L2 per core, scoring
@@ -307,9 +296,18 @@ def _tile_shape(m: int, p: int) -> tuple[int, int]:
 def _all_finite(X: np.ndarray) -> bool:
     """Whether every value of the matrix X is finite, read by blocks of rows
     of at most ``_BLOCK`` elements (or one row), so that no n-by-p mask is
-    made."""
+    made.  Each block is first read by one BLAS call, its dot product with
+    itself, which is NaN or inf if the block holds a NaN or an infinity.
+    Only a block whose dot product is not finite (non-finite values, or
+    finite ones whose squares overflow) is scanned value by value.  A block
+    that is not contiguous is copied for the dot product."""
     step = max(1, _BLOCK // max(X.shape[1], 1))
-    return all(np.isfinite(X[top:top + step]).all() for top in range(0, len(X), step))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for top in range(0, len(X), step):
+            block = X[top:top + step].ravel()
+            if not math.isfinite(block @ block) and not np.isfinite(block).all():
+                return False
+    return True
 
 
 def _tiles(X: np.ndarray, rows=None):
@@ -333,31 +331,79 @@ def _tiles(X: np.ndarray, rows=None):
                 yield part, cols, X[rows[part], cols]
 
 
-def _moments(X: np.ndarray, cells, centers: np.ndarray) -> list:
-    """(count, S, Q) of each cell (rows, g): the row count of X[rows], and
-    the column sums S and column sums of squares Q of X[rows] - centers[g].
+def _moments(X: np.ndarray, cells) -> tuple[list, list]:
+    """The moments (count, center, S, Q) of each cell (rows, g), listed by
+    group g in cell order: the row count of X[rows], its column means, and
+    the column sums S and sums of squares Q of X[rows] - center.
 
-    Each cell is one pass over its ``_tiles``, each tile centred in place and
-    added into its columns of S and Q.  Every cell has arrays of its own, so
-    a caller can free one cell while it keeps the others.
-    ``_group_centers`` has already rejected non-finite data, so a non-finite
-    Q means finite values whose squares (or sums) overflow; one check of
-    each cell's Q finds them.
+    Each cell is one pass over its ``_tiles``.  A tile takes its column
+    means as ones @ tile / rows, is centred on them in place, and gives S
+    (the rounding residual) by a second product and Q by ``einsum``.  The
+    first row block of a cell writes straight into its arrays; each later
+    one is merged into them by the pairwise update of Chan, Golub & LeVeque
+    (1983), both parts shifted onto their joint means (``_shift``), so every
+    tile's residual sum is kept.  Every cell has arrays of its own, so a
+    caller can free one cell while it keeps the others.  A NaN or an
+    infinity in a cell, or finite values whose sums or squares overflow,
+    leave its Q non-finite; one check of each cell's Q finds them, and only
+    then are the cell's rows scanned to tell the two apart.
     """
-    moments = []
-    for rows, g in cells:
-        S, Q = np.zeros(X.shape[1]), np.zeros(X.shape[1])
-        for _, cols, tile in _tiles(X, rows):
-            tile -= centers[g, cols]
-            S[cols] += tile.sum(axis=0)
-            Q[cols] += np.einsum("ij,ij->j", tile, tile)
-            # Free the tile before the next gather, so that its memory is
-            # reused rather than fresh pages faulted in for every tile.
-            del tile
-        if not np.isfinite(Q.max()):  # the max of Q propagates NaN
-            raise DataValidationError("training data contain values too large to square")
-        moments.append((len(rows), S, Q))
-    return moments
+    groups = ([], [])
+    p = X.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, g in cells:
+            center, S, Q = np.zeros(p), np.zeros(p), np.zeros(p)
+            ones = np.ones(_tile_shape(len(rows), p)[0])
+            for part, cols, tile in _tiles(X, rows):
+                m = len(tile)
+                if part.start:
+                    c, s, q = np.empty((3, tile.shape[1]))
+                else:
+                    c, s, q = center[cols], S[cols], Q[cols]
+                np.matmul(ones[:m], tile, out=c)
+                c /= m
+                tile -= c
+                np.matmul(ones[:m], tile, out=s)
+                np.einsum("ij,ij->j", tile, tile, out=q)
+                # Free the tile before the next gather, so that its memory is
+                # reused rather than fresh pages faulted in for every tile.
+                del tile
+                if part.start:
+                    _merge(part.start, center[cols], S[cols], Q[cols], m, c, s, q)
+            if not np.isfinite(Q.max()):  # the max of Q propagates NaN
+                if all(np.isfinite(tile).all() for _, _, tile in _tiles(X, rows)):
+                    raise DataValidationError("training data contain values too large to square")
+                raise DataValidationError("training data contain non-finite values")
+            groups[g].append((len(rows), center, S, Q))
+    return groups
+
+
+def _merge(n_a: int, c_a, s_a, q_a, n_b: int, c_b, s_b, q_b) -> None:
+    """Merge the moments (n_b, c_b, s_b, q_b) of further rows, in place, into
+    (n_a, c_a, s_a, q_a): both are shifted onto their joint means, which
+    become c_a.  The b arrays are overwritten."""
+    joint = c_b - c_a
+    joint *= n_b / (n_a + n_b)
+    joint += c_a
+    _shift(n_a, c_a, s_a, q_a, joint)
+    _shift(n_b, c_b, s_b, q_b, joint)
+    s_a += s_b
+    q_a += q_b
+    c_a[...] = joint
+
+
+def _shift(n: int, center, S, Q, onto) -> None:
+    """Move the moments (n, S, Q) of n rows about ``center`` onto ``onto``,
+    in place: with d = center - onto, S += n d and Q += 2 d S + n d^2 (with
+    the old S).  ``center`` is overwritten with d."""
+    d = np.subtract(center, onto, out=center)
+    t = np.multiply(d, n)
+    t += S
+    t += S
+    t *= d
+    Q += t
+    np.multiply(d, n, out=t)
+    S += t
 
 
 # Variances below this are raised to it, so every log of a variance is finite.
@@ -414,10 +460,11 @@ def _stats_from_moments(centers: np.ndarray, m0, m1) -> VariableStats:
 
 
 def _group_moments(X: np.ndarray, y: np.ndarray):
-    """``(centers, m0, m1)`` of groups 0 and 1 for ``_stats_from_moments``."""
-    centers = _group_centers(X, y)
+    """``(centers, m0, m1)`` of groups 0 and 1 for ``_stats_from_moments``:
+    each group's moments are taken about its own column means."""
     cells = [((y == g).nonzero()[0], g) for g in (0, 1)]
-    return (centers, *_moments(X, cells, centers))
+    ((n0, c0, s0, q0),), ((n1, c1, s1, q1),) = _moments(X, cells)
+    return (c0, c1), (n0, s0, q0), (n1, s1, q1)
 
 
 def compute_stats(d: Dataset) -> VariableStats:

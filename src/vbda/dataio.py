@@ -10,10 +10,10 @@ offending row and column (header is row 1).
 
 Fit states persist as schema-versioned JSON with full float precision
 (repr round-trip), so save -> load -> save is byte-identical.  A state is
-one line of compact JSON with sorted keys, written by the C encoder;
-``load_state`` reads the earlier indented layout too.  Reports are indented
-JSON (``write_json``) and TSV (``write_tsv``), each built in memory and
-written in one call.
+one line of compact JSON with sorted keys, written one value at a time by
+the C encoder; ``load_state`` reads the earlier indented layout too.
+Reports are indented JSON (``write_json``) and TSV (``write_tsv``), each
+built in memory and written in one call.
 """
 
 from __future__ import annotations
@@ -235,7 +235,9 @@ _STATS_VARIANCES = ("var_total", "var_pooled", "var1", "var0")
 
 
 def _stats_to_json(s: VariableStats) -> dict:
-    doc = {key: getattr(s, key).tolist() for key in (*_STATS_ARRAYS, "floored")}
+    """The "stats" object of a saved state, its arrays left for ``_write_json``
+    to turn into lists."""
+    doc = {key: getattr(s, key) for key in (*_STATS_ARRAYS, "floored")}
     return {**doc, "n": s.n, "n1": s.n1, "n0": s.n0}
 
 
@@ -306,11 +308,13 @@ def _columns_from_json(obj) -> tuple[str, ...] | None:
 
 def save_state(f: FitState, path) -> None:
     """Persist a fit as deterministic, schema-versioned JSON: one line with
-    sorted keys, written by the C encoder."""
+    sorted keys, the bytes of ``json.dumps(doc, sort_keys=True)``, written
+    one value at a time by the C encoder, so that only one array is held as
+    a list and as text at once."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "model": f.model,
-        "w": f.w.tolist(),
+        "w": f.w,
         "cycles_run": f.cycles_run,
         "converged": f.converged,
         "final_delta": f.final_delta,
@@ -319,7 +323,22 @@ def save_state(f: FitState, path) -> None:
         "stats": _stats_to_json(f.stats),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        _write_json(fh, doc)
+        fh.write("\n")
+
+
+def _write_json(fh, value) -> None:
+    """Write ``json.dumps(value, sort_keys=True)`` to ``fh`` a value at a
+    time: each dict item in turn, and each array as a list only when its
+    turn comes."""
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(fh, value[key])
+        fh.write("}")
+    else:
+        fh.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
 
 
 def load_state(path) -> FitState:

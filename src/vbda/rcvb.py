@@ -221,7 +221,9 @@ def _fit(
     w0: np.ndarray | None = None,
 ) -> FitState:
     """The fixed point of ``model`` on ``stats``, from ``w0`` if given and
-    from 1/2 everywhere otherwise."""
+    from 1/2 everywhere otherwise.  ``columns`` are a ``Dataset``'s names,
+    which it has checked already, so they are set after the FitState is
+    built rather than checked again."""
     w, cycles, delta = _batch_fixed_point(
         np.full(stats.p, 0.5) if w0 is None else w0,
         _eta_offset(model, stats),
@@ -229,7 +231,7 @@ def _fit(
         log_b_gamma(stats.n, stats.p, h.r, h.kappa),
         h,
     )
-    return FitState(
+    f = FitState(
         model=model,
         w=w,
         cycles_run=cycles,
@@ -237,8 +239,9 @@ def _fit(
         final_delta=delta,
         stats=stats,
         hyper=h,
-        columns=columns,
     )
+    object.__setattr__(f, "columns", columns)
+    return f
 
 
 def fit_vlda(d: Dataset, h: Hyperparameters | None = None) -> FitState:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import vbda
+from vbda import core
 
 # Property suites must stay quick enough to run as one batch; individual
 # strategies are cheap, so a moderate example count is plenty.
@@ -31,6 +32,43 @@ def einsum_shapes(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", counting_einsum)
     return shapes
+
+
+@pytest.fixture
+def gathered(monkeypatch):
+    """The shape of every tile ``core._tiles`` yields while the test runs:
+    the statistics read the data matrix through it and nothing else, so the
+    sizes of these shapes count the elements they read."""
+    shapes = []
+    tiles = core._tiles
+
+    def recording_tiles(X, rows=None):
+        for item in tiles(X, rows):
+            shapes.append(item[2].shape)
+            yield item
+
+    monkeypatch.setattr(core, "_tiles", recording_tiles)
+    return shapes
+
+
+class ReadLog(np.ndarray):
+    """A data matrix that records the name of every ufunc given it whole in
+    ``ops``; what indexing takes from it (a tile) comes out a plain array."""
+
+    def __getitem__(self, key):
+        return np.asarray(super().__getitem__(key))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.ops.append(ufunc.__name__)
+        inputs = [np.asarray(x) if isinstance(x, ReadLog) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def read_logged(X) -> ReadLog:
+    """X as a ``ReadLog`` view with an empty log."""
+    view = np.asarray(X).view(ReadLog)
+    view.ops = []
+    return view
 
 
 @pytest.fixture

@@ -263,7 +263,9 @@ def test_criterion_7_cycles_scale_linearly_in_p():
     # fit at large p) cannot swamp the few cycles being measured.  The three
     # p are interleaved within each repeat, so a drift in host speed hits
     # all of them alike, and the minimum over repeats is kept per p, since
-    # noise only ever adds time.
+    # noise only ever adds time.  Each timed call runs the kernel
+    # 200000 / p times, so every call covers as many elements and a cycle
+    # of tens of microseconds at the small p is not timed on its own.
     ps = (2_000, 20_000, 200_000)
     kernels = []
     for p in ps:
@@ -277,9 +279,11 @@ def test_criterion_7_cycles_scale_linearly_in_p():
     per_cycle = [np.inf] * len(ps)
     for _ in range(5):
         for i, args in enumerate(kernels):
+            runs = ps[-1] // ps[i]
             t1 = time.perf_counter()
-            _, cycles, _ = _batch_fixed_point(*args, h_multi)
-            per_cycle[i] = min(per_cycle[i], (time.perf_counter() - t1) / cycles)
+            for _ in range(runs):
+                _, cycles, _ = _batch_fixed_point(*args, h_multi)
+            per_cycle[i] = min(per_cycle[i], (time.perf_counter() - t1) / (runs * cycles))
             assert cycles > 1
     slope = float(np.polyfit(np.log10(ps), np.log10(per_cycle), 1)[0])
 

@@ -10,6 +10,7 @@ pooled 67/28, group-1 variance 35/16.
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,13 @@ from vbda import (
 from vbda import core
 from vbda.oracle import _stats_with_new
 
-from conftest import log_gaussian_density, numpy_stats, tiled_data, traced_peak
+from conftest import (
+    log_gaussian_density,
+    numpy_stats,
+    read_logged,
+    tiled_data,
+    traced_peak,
+)
 
 X_HAND = np.array([[1.0], [2.0], [3.0], [4.0], [6.0], [8.0]])
 Y_HAND = np.array([1, 1, 1, 0, 0, 0])
@@ -43,6 +50,18 @@ Y_HAND = np.array([1, 1, 1, 0, 0, 0])
 
 def hand_dataset():
     return Dataset(X_HAND, Y_HAND)
+
+
+def exact_mean_var(col):
+    """The mean and the variance (denominator n) of a float column, as
+    Fractions.  Scaled by 2**shift, every value is an integer, so the sums
+    are taken exactly over Python integers."""
+    shift = int(53 - np.frexp(col)[1].min())
+    ints = [int(v) for v in np.ldexp(col, shift)]
+    n, total = len(ints), sum(ints)
+    squares = sum(v * v for v in ints)
+    return (Fraction(total, n << shift),
+            Fraction(n * squares - total * total, (n * n) << (2 * shift)))
 
 
 @st.composite
@@ -116,6 +135,30 @@ class TestDataset:
         with pytest.raises(DataValidationError, match="at row 2, column 1$"):
             Dataset(X)
         assert Dataset(np.ones((4, 3))).n == 4
+
+    @pytest.mark.parametrize("block", [None, 256])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("cell", [(0, 0), (20, 18), (40, 36)], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finiteness_check_in_any_layout(self, bad, cell, layout, block, monkeypatch):
+        # 41 x 37 values: one block at the default size, blocks of 6 rows at
+        # 256 elements.  A block whose dot product is not finite is scanned
+        # value by value, and so is one of finite values whose squares overflow.
+        if block:
+            monkeypatch.setattr(core, "_BLOCK", block)
+        base = np.random.default_rng(0).standard_normal((82, 111))
+        X = {"C": base[:41, :37].copy(), "F": np.asfortranarray(base[:41, :37]),
+             "strided": base[::2, ::3]}[layout]
+        X[cell] = bad
+        assert not core._all_finite(X)
+        with pytest.raises(DataValidationError, match=f"at row {cell[0]}, column {cell[1]}$"):
+            Dataset(X)
+        X[cell] = -1.7976931348623157e308
+        X[40 - cell[0], 36 - cell[1]] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core._all_finite(X)
+            assert Dataset(X).X[cell] == X[cell]
 
     def test_accepts_extreme_finite_values(self):
         X = np.full((3, 4), 1e308)
@@ -328,6 +371,47 @@ class TestTiledMoments:
         compute_stats(d)
         assert len(einsum_shapes) == 2 * 19 * 2
         assert {a * b for a, b in einsum_shapes} <= set(range(1, 65))
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("n, p", [(60, 50), (300, 12)])
+    def test_data_read_once_through_tiles(self, n, p, block, gathered, monkeypatch):
+        # Every element is gathered into exactly one tile, and no numpy
+        # operation takes the whole matrix: the group centers come from the
+        # tiles too.
+        if block:
+            monkeypatch.setattr(core, "_BLOCK", block)
+        d = Dataset(*tiled_data(n, p, 0.0))
+        object.__setattr__(d, "X", read_logged(d.X))
+        compute_stats(d)
+        assert sum(a * b for a, b in gathered) == n * p
+        assert d.X.ops == []
+
+    @pytest.mark.parametrize("block", [None, 4096])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_tall_groups_match_exact_arithmetic(self, offset, block, monkeypatch):
+        # Groups of 500 rows by 300 columns: 2 row blocks of at most 256 rows
+        # at the default block, 8 of 64 rows at 4096, each merged into the
+        # group's moments with its own residual sum.  Means are compared
+        # relative to |mean| + sd.
+        if block:
+            monkeypatch.setattr(core, "_BLOCK", block)
+        X, y = tiled_data(1000, 300, offset)
+        s = compute_stats(Dataset(X, y))
+        exact = {g: [exact_mean_var(col) for col in X[y == g].T] for g in (0, 1)}
+        pooled = [exact_mean_var(col) for col in X.T]
+        want = {
+            "mu1_hat": [m for m, _ in exact[1]], "mu0_hat": [m for m, _ in exact[0]],
+            "mu_hat": [m for m, _ in pooled], "var1": [v for _, v in exact[1]],
+            "var0": [v for _, v in exact[0]], "var_total": [v for _, v in pooled],
+            "var_pooled": [(v1 + v0) / 2 for (_, v1), (_, v0) in zip(exact[1], exact[0])],
+        }
+        sd = {"mu1_hat": "var1", "mu0_hat": "var0", "mu_hat": "var_total"}
+        for field, values in want.items():
+            got = getattr(s, field)
+            scale = ([abs(float(m)) + math.sqrt(v) for m, v in zip(values, want[sd[field]])]
+                     if field in sd else [float(v) for v in values])
+            err = max(abs(float(Fraction(a) - b)) / c for a, b, c in zip(got, values, scale))
+            assert err <= 1e-13, (field, err)
 
     def test_peak_memory_below_one_group(self):
         # A group of 50 x 20000 is 8 MB: a whole-group copy puts the peak

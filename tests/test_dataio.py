@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from vbda import (
 from vbda import dataio
 from vbda.dataio import prediction_rows, selection_rows, write_json, write_tsv
 
-from conftest import make_balanced
+from conftest import make_balanced, traced_peak
 
 
 def write(path, text):
@@ -391,6 +392,35 @@ class TestStatePersistence:
         assert doc["schema_version"] == dataio.SCHEMA_VERSION
         assert sorted(doc) == ["columns", "converged", "cycles_run", "final_delta",
                                "hyper", "model", "schema_version", "stats", "w"]
+
+    @pytest.mark.parametrize("named", [True, False], ids=["named", "unnamed"])
+    def test_bytes_of_one_json_dumps(self, fitted, named, tmp_path):
+        # The file is written a value at a time, with the bytes of one
+        # json.dumps of the whole document as lists.
+        f = fitted if named else replace(fitted, columns=None)
+        s = f.stats
+        doc = {
+            "schema_version": dataio.SCHEMA_VERSION, "model": f.model, "w": f.w.tolist(),
+            "cycles_run": f.cycles_run, "converged": f.converged,
+            "final_delta": f.final_delta,
+            "columns": list(f.columns) if named else None,
+            "hyper": {k: getattr(f.hyper, k) for k in Hyperparameters.__dataclass_fields__},
+            "stats": {**{k: getattr(s, k).tolist() for k in (
+                "mu_hat", "mu1_hat", "mu0_hat", "var_total", "var_pooled", "var1", "var0",
+                "floored")}, "n": s.n, "n1": s.n1, "n0": s.n0},
+        }
+        path = tmp_path / "s.json"
+        save_state(f, path)
+        assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+    def test_peak_memory_one_array_at_a_time(self, tmp_path):
+        # At p = 5000 the whole document as lists and text takes about 150
+        # p-vectors (p float64 values); one array at a time about 20.
+        p = 5000
+        d = make_balanced(40, p, seed=2, shift=2.0, k=5)
+        f = fit_vlda(Dataset(d.X, d.y, columns=[f"v{j}" for j in range(p)]))
+        path = tmp_path / "s.json"
+        assert traced_peak(lambda: save_state(f, path)) < 40 * p * 8
 
     def test_indented_state_loads_and_resaves_compact(self, fitted, tmp_path):
         # A state written in the earlier indented layout still loads; saving

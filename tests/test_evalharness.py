@@ -31,7 +31,7 @@ from vbda import core, evalharness, rcvb
 from vbda.evalharness import _fold_stats
 from vbda.simgen import MEAN_SPECS, derive_seed
 
-from conftest import make_balanced, numpy_stats, tiled_data, traced_peak
+from conftest import make_balanced, numpy_stats, read_logged, tiled_data, traced_peak
 
 
 class TestClassificationError:
@@ -338,9 +338,9 @@ class TestFoldMoments:
         original_build = evalharness._stats_from_moments
         original_init = Dataset.__post_init__
 
-        def counting_moments(X, cells, centers):
+        def counting_moments(X, cells):
             rows.extend(len(idx) for idx, _ in cells)
-            return original_moments(X, cells, centers)
+            return original_moments(X, cells)
 
         def counting_build(*args):
             builds.append(1)
@@ -395,6 +395,24 @@ class TestFoldMoments:
         folds = stratified_folds(y, 5, np.random.default_rng(5))
         assert set(folds[y == 1]) == {0, 1, 2}
         _assert_fold_stats_match_numpy(X, y, 5, seed=5)
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("n, p, k", [(60, 50, 5), (300, 12, 2)])
+    def test_data_read_once_per_repetition(self, n, p, k, block, gathered, monkeypatch):
+        # Each repetition gathers every element into exactly one tile, and
+        # no numpy operation takes the whole matrix: the group centers come
+        # from the cells.  Scoring reads the held-out rows apart from this.
+        if block:
+            monkeypatch.setattr(core, "_BLOCK", block)
+        X, y = tiled_data(n, p, 1e3)
+        folds = stratified_folds(y, k, np.random.default_rng(5))
+        logged = read_logged(X)
+        list(_fold_stats(logged, y, folds, k))
+        assert sum(a * b for a, b in gathered) == n * p
+        assert logged.ops == []
+        gathered.clear()
+        kfold_cv(Dataset(X, y), k, reps=3)
+        assert sum(a * b for a, b in gathered) == 3 * n * p
 
     def test_small_block_splits_cells_into_tiles(self, einsum_shapes, monkeypatch):
         # One einsum per tile: 4 cells of 75 x 12 are one tile each at the

@@ -19,15 +19,17 @@ from vbda import (
     fit_vlda,
     fit_vqda,
     generate,
+    load_state,
     log_b_gamma,
     predict,
     predict_coupled_vlda,
     predict_vlda,
     predict_vqda,
+    save_state,
     select_variables,
     setting_from_index,
 )
-from vbda import core
+from vbda import core, rcvb
 from vbda.rcvb import _batch_fixed_point, _eta_offset
 
 from conftest import log_gaussian_density, make_balanced
@@ -271,6 +273,34 @@ class TestFitState:
         assert replace(f, columns=names).columns == names
         with pytest.raises(DataValidationError, match="duplicate column name 'c0'"):
             replace(f, columns=("c0",) + names[:-1])
+
+    def test_named_fit_checks_its_names_once(self, toy_dataset, monkeypatch, tmp_path):
+        # The Dataset checks its names; a fit made from it takes them as
+        # they are.  A FitState built directly, and a loaded one, check again.
+        calls = []
+        first_duplicate = core._first_duplicate
+
+        def counting(names):
+            calls.append(len(names))
+            return first_duplicate(names)
+
+        monkeypatch.setattr(core, "_first_duplicate", counting)
+        monkeypatch.setattr(rcvb, "_first_duplicate", counting)
+        names = tuple(f"c{j}" for j in range(toy_dataset.p))
+        for fit in (fit_vlda, fit_vqda):
+            calls.clear()
+            f = fit(Dataset(toy_dataset.X, toy_dataset.y, columns=names))
+            assert f.columns == names
+            assert calls == [len(names)]
+        twice = ("c0",) + names[:-1]
+        with pytest.raises(DataValidationError, match="duplicate column name 'c0'"):
+            replace(f, columns=twice)
+        save_state(f, tmp_path / "s.json")
+        text = (tmp_path / "s.json").read_text()
+        (tmp_path / "s.json").write_text(text.replace('"c7"]', '"c0"]'))
+        with pytest.raises(DataValidationError, match="duplicate column name 'c0'"):
+            load_state(tmp_path / "s.json")
+        assert calls == [len(names)] * 3
 
 
 class TestSelectVariables:
