@@ -13,20 +13,19 @@ Conventions used throughout:
 
 * All variance MLEs use denominators n, n1, n0 (not the unbiased n-1 forms).
 * Every ``VariableStats`` is built by ``_stats_from_moments`` from each
-  group's row count n_g and column sums S_g and sums of squares Q_g about the
-  group's column means c_g: mu_g = S_g/n_g + c_g, var_g = Q_g/n_g - (S_g/n_g)^2,
-  accurate at any column offset and group gap, and the null model by the law
-  of total variance.  Moments add over disjoint rows: cross-validation turns
+  group's row count n_g and column sums S_g and sums of squares Q_g about a
+  center c_g taken from the group's rows: mu_g = S_g/n_g + c_g and
+  var_g = Q_g/n_g - (S_g/n_g)^2, accurate at any column offset and group
+  gap, and the null model by the law of total variance.  Moments add over disjoint rows: cross-validation turns
   each held-out cell, in place, into the group totals minus that cell, and
   the oracle adds its new row.  ``_moments`` reads every cell once, through
   ``_tiles``, the walker that scoring uses too, one cache-sized tile at a
-  time, into a center, S and Q of the cell's own, so a caller can free one
-  cell while it keeps the others.  Its center is the cell's column means,
-  taken from the tiles; moments about one center move onto another by
-  ``_shift``, which is how row blocks merge and how cross-validation puts
-  its cells onto their group's center.  ``_stats_from_moments`` writes its
-  outputs in place, with one scratch vector.  ``_moments`` rejects
-  non-finite data and finite values too large to square.
+  time, into an S and a Q of the cell's own, so a caller can free one cell
+  while it keeps the others.  All cells of a group share one center, the
+  column means of the first row block the group reads, so the moments of
+  any of its cells add and subtract with no shift.  ``_stats_from_moments``
+  writes its outputs in place, with one scratch vector.  ``_moments``
+  rejects non-finite data and finite values too large to square.
 * Variances are floored at ``_VARIANCE_FLOOR`` so constant columns degrade
   gracefully instead of producing infinities; a per-variable flag records
   where flooring happened.
@@ -331,79 +330,57 @@ def _tiles(X: np.ndarray, rows=None):
                 yield part, cols, X[rows[part], cols]
 
 
-def _moments(X: np.ndarray, cells) -> tuple[list, list]:
-    """The moments (count, center, S, Q) of each cell (rows, g), listed by
-    group g in cell order: the row count of X[rows], its column means, and
-    the column sums S and sums of squares Q of X[rows] - center.
+def _moments(X: np.ndarray, cells) -> tuple[list, tuple[list, list]]:
+    """``(centers, groups)`` for the cells (rows, g): ``centers[g]`` is one
+    center per group, and ``groups[g]`` lists, in cell order, the moments
+    (count, S, Q) of the group's cells about it: the row count of X[rows],
+    and the column sums S and sums of squares Q of X[rows] - centers[g].
 
-    Each cell is one pass over its ``_tiles``.  A tile takes its column
-    means as ones @ tile / rows, is centred on them in place, and gives S
-    (the rounding residual) by a second product and Q by ``einsum``.  The
-    first row block of a cell writes straight into its arrays; each later
-    one is merged into them by the pairwise update of Chan, Golub & LeVeque
-    (1983), both parts shifted onto their joint means (``_shift``), so every
-    tile's residual sum is kept.  Every cell has arrays of its own, so a
-    caller can free one cell while it keeps the others.  A NaN or an
-    infinity in a cell, or finite values whose sums or squares overflow,
-    leave its Q non-finite; one check of each cell's Q finds them, and only
-    then are the cell's rows scanned to tell the two apart.
+    Each cell is one pass over its ``_tiles``.  A group's center is the
+    column means of the first row block it reads (the first row block of
+    its first non-empty cell), taken as ones @ tile / rows; a center taken
+    from the data keeps S small against Q, so var = Q/n - (S/n)^2 loses
+    little to cancellation (the "shifted data" algorithm of Chan, Golub &
+    LeVeque, 1983).  Every tile is centred in place and gives S by a second
+    product and Q by ``einsum``: a cell's first row block writes straight
+    into its arrays, and each later one adds into them.  Every cell has
+    arrays of its own, so a caller can free one cell while it keeps the
+    others.  A NaN or an infinity in a cell, or finite values whose sums or
+    squares overflow, leave its Q non-finite; one check of each cell's Q
+    finds them, and only then are the cell's rows scanned to tell the two
+    apart.
     """
-    groups = ([], [])
+    centers, groups = [None, None], ([], [])
     p = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, g in cells:
-            center, S, Q = np.zeros(p), np.zeros(p), np.zeros(p)
+            S, Q = np.zeros(p), np.zeros(p)
+            first = centers[g] is None and len(rows) > 0
+            if first:
+                centers[g] = np.empty(p)
             ones = np.ones(_tile_shape(len(rows), p)[0])
             for part, cols, tile in _tiles(X, rows):
                 m = len(tile)
-                if part.start:
-                    c, s, q = np.empty((3, tile.shape[1]))
-                else:
-                    c, s, q = center[cols], S[cols], Q[cols]
-                np.matmul(ones[:m], tile, out=c)
-                c /= m
+                c = centers[g][cols]
+                if first and not part.start:
+                    np.matmul(ones[:m], tile, out=c)
+                    c /= m
                 tile -= c
-                np.matmul(ones[:m], tile, out=s)
-                np.einsum("ij,ij->j", tile, tile, out=q)
+                if part.start:
+                    S[cols] += ones[:m] @ tile
+                    Q[cols] += np.einsum("ij,ij->j", tile, tile)
+                else:
+                    np.matmul(ones[:m], tile, out=S[cols])
+                    np.einsum("ij,ij->j", tile, tile, out=Q[cols])
                 # Free the tile before the next gather, so that its memory is
                 # reused rather than fresh pages faulted in for every tile.
                 del tile
-                if part.start:
-                    _merge(part.start, center[cols], S[cols], Q[cols], m, c, s, q)
             if not np.isfinite(Q.max()):  # the max of Q propagates NaN
                 if all(np.isfinite(tile).all() for _, _, tile in _tiles(X, rows)):
                     raise DataValidationError("training data contain values too large to square")
                 raise DataValidationError("training data contain non-finite values")
-            groups[g].append((len(rows), center, S, Q))
-    return groups
-
-
-def _merge(n_a: int, c_a, s_a, q_a, n_b: int, c_b, s_b, q_b) -> None:
-    """Merge the moments (n_b, c_b, s_b, q_b) of further rows, in place, into
-    (n_a, c_a, s_a, q_a): both are shifted onto their joint means, which
-    become c_a.  The b arrays are overwritten."""
-    joint = c_b - c_a
-    joint *= n_b / (n_a + n_b)
-    joint += c_a
-    _shift(n_a, c_a, s_a, q_a, joint)
-    _shift(n_b, c_b, s_b, q_b, joint)
-    s_a += s_b
-    q_a += q_b
-    c_a[...] = joint
-
-
-def _shift(n: int, center, S, Q, onto) -> None:
-    """Move the moments (n, S, Q) of n rows about ``center`` onto ``onto``,
-    in place: with d = center - onto, S += n d and Q += 2 d S + n d^2 (with
-    the old S).  ``center`` is overwritten with d."""
-    d = np.subtract(center, onto, out=center)
-    t = np.multiply(d, n)
-    t += S
-    t += S
-    t *= d
-    Q += t
-    np.multiply(d, n, out=t)
-    S += t
+            groups[g].append((len(rows), S, Q))
+    return centers, groups
 
 
 # Variances below this are raised to it, so every log of a variance is finite.
@@ -461,10 +438,10 @@ def _stats_from_moments(centers: np.ndarray, m0, m1) -> VariableStats:
 
 def _group_moments(X: np.ndarray, y: np.ndarray):
     """``(centers, m0, m1)`` of groups 0 and 1 for ``_stats_from_moments``:
-    each group's moments are taken about its own column means."""
-    cells = [((y == g).nonzero()[0], g) for g in (0, 1)]
-    ((n0, c0, s0, q0),), ((n1, c1, s1, q1),) = _moments(X, cells)
-    return (c0, c1), (n0, s0, q0), (n1, s1, q1)
+    each group's moments are taken about the column means of its first row
+    block, which are its column means when it fits in one (see ``_moments``)."""
+    centers, ((m0,), (m1,)) = _moments(X, [((y == g).nonzero()[0], g) for g in (0, 1)])
+    return centers, m0, m1
 
 
 def compute_stats(d: Dataset) -> VariableStats:

@@ -216,8 +216,13 @@ def _scan_row(path, header, row_no, row, label_idx) -> list[float]:
 
 def save_csv(d: Dataset, path, label_column: str = "label") -> None:
     """Write a Dataset back to CSV (floats at full repr precision); labels,
-    if any, go first, in a column named ``label_column``."""
+    if any, go first, in a column named ``label_column``, which must not
+    be one of the data's column names."""
     columns = _column_names(d.columns, d.p)
+    if d.y is not None and label_column in columns:
+        raise DataValidationError(
+            f"label column {label_column!r} is also the name of a data column"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if d.y is None:
@@ -295,7 +300,11 @@ _RETIRED_HYPER = ("variance_floor", "w_init")
 def _hyper_from_json(obj) -> Hyperparameters:
     if not isinstance(obj, dict):
         raise DataValidationError("hyper is not an object")
-    return Hyperparameters(**{k: v for k, v in obj.items() if k not in _RETIRED_HYPER})
+    hyper = {k: v for k, v in obj.items() if k not in _RETIRED_HYPER}
+    for key, value in hyper.items():
+        if key in Hyperparameters.__dataclass_fields__:  # others: rejected below
+            _typed(value, f"hyper {key}", *((int,) if key == "max_cycles" else (float, int)))
+    return Hyperparameters(**hyper)
 
 
 def _columns_from_json(obj) -> tuple[str, ...] | None:
@@ -346,7 +355,8 @@ def load_state(path) -> FitState:
     including statistics of the wrong length, non-finite values, nonpositive
     variances, inconsistent group counts, a field of the wrong JSON type (a
     count that is not an integer, ``converged`` that is not a bool, a string
-    or bool among the numbers of ``w`` or the statistics), a column name
+    or bool among the numbers of ``w``, the statistics or the
+    hyperparameters), a negative ``cycles_run``, a column name
     that is not a string or is named twice, and hyperparameters that are
     unknown or out of range.
     A state written by an earlier version still loads: the hyperparameter
@@ -364,10 +374,13 @@ def load_state(path) -> FitState:
             f"supported (expected {SCHEMA_VERSION})"
         )
     try:
+        cycles_run = _typed(doc["cycles_run"], "cycles_run", int)
+        if cycles_run < 0:
+            raise ValueError(f"cycles_run must be >= 0, got {cycles_run}")
         return FitState(
             model=doc["model"],
             w=_number_array(doc["w"], "w"),
-            cycles_run=_typed(doc["cycles_run"], "cycles_run", int),
+            cycles_run=cycles_run,
             converged=_typed(doc["converged"], "converged", bool),
             final_delta=float(_typed(doc["final_delta"], "final_delta", float, int)),
             stats=_stats_from_json(doc["stats"], len(doc["w"])),

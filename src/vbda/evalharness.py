@@ -10,14 +10,13 @@ both groups appear in every training fold whenever each group has at least
 ``k`` members, and it degrades gracefully to leave-one-out (k = n), where
 folds simply alternate between the groups.  It never copies a training
 fold: one pass per repetition takes the moments of every (fold, group) cell
-about the cell's own column means.  Each cell is then shifted onto its
-group's column means, found from the cells alone, and becomes, in place,
-its training fold's group moments: the group totals minus the cell (see
-``core``).  A fold's cells are freed as its statistics are built, and its
+about one center per group (see ``core._moments``).  Each cell then becomes,
+in place, its training fold's group moments: the group totals minus the
+cell.  A fold's cells are freed as its statistics are built, and its
 statistics once it is scored, so the working memory shrinks fold by fold.
-Both the moments and the scores of
-the held-out rows are one pass over ``core._tiles``, which gathers each
-cache-sized tile of a cell's rows once, where they lie in the data matrix.
+Both the moments and the scores of the held-out rows are one pass over
+``core._tiles``, which gathers each cache-sized tile of a cell's rows once,
+where they lie in the data matrix.
 
 ``consistency_experiment`` tracks the soft selection errors
 e0 = sum of w over noise variables, e1 = sum of (1 - w) over signal
@@ -44,7 +43,6 @@ from .core import (
     Dataset,
     Hyperparameters,
     _moments,
-    _shift,
     _stats_from_moments,
 )
 from .rcvb import _FITTERS, _fit, _rule, _score
@@ -160,45 +158,33 @@ def _fold_stats(X: np.ndarray, y: np.ndarray, folds: np.ndarray, k: int):
 
     One stable sort of the key 2 * fold + group lists the rows of all 2k
     (fold, group) cells in row order, empty cells included.  One
-    ``core._moments`` call takes every cell's moments about its own column
-    means, a single read of X.  ``_complements`` shifts each cell onto its
-    group's column means, found from the cells alone, and turns it in place
-    into its training fold's group moments: the group's totals, the sum of
-    its cells, minus that cell, one total at a time.  Each fold's two cells
-    are popped as ``core._stats_from_moments`` turns them into statistics,
+    ``core._moments`` call takes every cell's moments about its group's
+    center, a single read of X.  ``_complements`` turns each cell in place
+    into its training fold's group moments.  Each fold's two cells are
+    popped as ``core._stats_from_moments`` turns them into statistics,
     raising at the first fold whose training rows are too few, so the
     moments shrink as the folds go by.
     """
     key = 2 * folds + y
     order = np.argsort(key, kind="stable")
     cells = np.split(order, np.cumsum(np.bincount(key, minlength=2 * k))[:-1])
-    groups = _moments(X, [(rows, c % 2) for c, rows in enumerate(cells)])
-    centers = [_complements(group) for group in groups]
+    centers, groups = _moments(X, [(rows, c % 2) for c, rows in enumerate(cells)])
+    for group in groups:
+        _complements(group)
     for _ in range(k):
         yield _stats_from_moments(centers, groups[0].pop(0), groups[1].pop(0))
 
 
-def _complements(group: list) -> np.ndarray:
-    """The center of one group, the count-weighted mean of its cells'
-    centers, with each cell (count, center, S, Q) of the group turned in
-    place into (count, S, Q) of the rest of the group about that center:
-    each cell is shifted onto it (``core._shift``) and its own center freed,
-    then the group's totals minus the cell."""
+def _complements(group: list) -> None:
+    """Turn each cell (count, S, Q) of one group, in place, into the moments
+    of the rest of the group about the same center: the group's totals, the
+    sum of its cells, minus the cell, one total at a time."""
     count = sum(cell[0] for cell in group)
-    center, t = np.zeros_like(group[0][1]), np.empty_like(group[0][1])
-    for n_cell, c, _, _ in group:
-        center += np.multiply(c, n_cell / count, out=t)
-    del t
-    for i, (n_cell, c, S, Q) in enumerate(group):
-        _shift(n_cell, c, S, Q, center)
-        group[i] = n_cell, S, Q
-    del c
     for i in (1, 2):  # S, then Q
         total = sum(cell[i] for cell in group)
         for cell in group:
             np.subtract(total, cell[i], out=cell[i])
     group[:] = [(count - n_cell, S, Q) for n_cell, S, Q in group]
-    return center
 
 
 def kfold_cv(

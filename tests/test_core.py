@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import expit as scipy_expit
 from scipy.special import gammaln
@@ -34,6 +34,7 @@ from vbda import (
     xi,
 )
 from vbda import core
+from vbda.evalharness import _fold_stats, stratified_folds
 from vbda.oracle import _stats_with_new
 
 from conftest import (
@@ -62,6 +63,30 @@ def exact_mean_var(col):
     squares = sum(v * v for v in ints)
     return (Fraction(total, n << shift),
             Fraction(n * squares - total * total, (n * n) << (2 * shift)))
+
+
+def exact_error(s, X, y) -> dict:
+    """The largest error of each statistic of ``s`` against its exact value
+    on the rows (X, y): means relative to |mean| + sd, variances relative to
+    their exact value."""
+    exact = {g: [exact_mean_var(col) for col in X[y == g].T] for g in (0, 1)}
+    pooled = [exact_mean_var(col) for col in X.T]
+    n1, n0 = int((y == 1).sum()), int((y == 0).sum())
+    want = {
+        "mu1_hat": [m for m, _ in exact[1]], "mu0_hat": [m for m, _ in exact[0]],
+        "mu_hat": [m for m, _ in pooled], "var1": [v for _, v in exact[1]],
+        "var0": [v for _, v in exact[0]], "var_total": [v for _, v in pooled],
+        "var_pooled": [(n1 * v1 + n0 * v0) / (n1 + n0)
+                       for (_, v1), (_, v0) in zip(exact[1], exact[0])],
+    }
+    sd = {"mu1_hat": "var1", "mu0_hat": "var0", "mu_hat": "var_total"}
+    errors = {}
+    for field, values in want.items():
+        scale = ([abs(float(m)) + math.sqrt(v) for m, v in zip(values, want[sd[field]])]
+                 if field in sd else [float(v) for v in values])
+        errors[field] = max(abs(float(Fraction(a) - b)) / c
+                            for a, b, c in zip(getattr(s, field), values, scale))
+    return errors
 
 
 @st.composite
@@ -320,10 +345,15 @@ class TestComputeStats:
     @pytest.mark.invariant
     @given(labeled_columns(), st.integers(0, 1), st.sampled_from([0.0, 1e3, 1e6]),
            st.floats(-1e5, 1e5, allow_nan=False))
+    @example(col_y=(np.array([0.0, 1.0, 0.0, 2.0]), np.array([1, 1, 0, 0])),
+             y_new=0, offset=0.0, x_draw=-3.0)
     def test_with_new_reduces_to_augmented_training(self, col_y, y_new, offset, x_draw):
         # The new row anywhere, far outside the data too, at column offsets
         # up to 1e6: the statistics of the training moments plus one row
-        # match compute_stats of the stacked data.
+        # match compute_stats of the stacked data.  Means are compared
+        # relative to |mean| + sd, so that a mean of 0 in exact arithmetic
+        # (the example: mu_hat is 0) is not held to a relative bound on its
+        # rounding noise.
         col, y = col_y
         col = col + offset
         x_new = offset + x_draw
@@ -333,8 +363,11 @@ class TestComputeStats:
         np.testing.assert_array_equal(s_new.floored, s_aug.floored)
         if s_aug.floored[0]:
             return
-        for name in ("mu_hat", "mu1_hat", "mu0_hat", "var_total", "var_pooled",
-                     "var1", "var0"):
+        for name, var in (("mu_hat", "var_total"), ("mu1_hat", "var1"), ("mu0_hat", "var0")):
+            want = getattr(s_aug, name)
+            scale = np.abs(want) + np.sqrt(getattr(s_aug, var))
+            assert np.abs(getattr(s_new, name) - want) <= 1e-12 * scale, name
+        for name in ("var_total", "var_pooled", "var1", "var0"):
             np.testing.assert_allclose(getattr(s_new, name), getattr(s_aug, name),
                                        rtol=1e-12, err_msg=name)
 
@@ -390,28 +423,32 @@ class TestTiledMoments:
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     def test_tall_groups_match_exact_arithmetic(self, offset, block, monkeypatch):
         # Groups of 500 rows by 300 columns: 2 row blocks of at most 256 rows
-        # at the default block, 8 of 64 rows at 4096, each merged into the
-        # group's moments with its own residual sum.  Means are compared
+        # at the default block, 8 of 64 rows at 4096, each added into the
+        # group's moments about the means of its first.  Means are compared
         # relative to |mean| + sd.
         if block:
             monkeypatch.setattr(core, "_BLOCK", block)
         X, y = tiled_data(1000, 300, offset)
-        s = compute_stats(Dataset(X, y))
-        exact = {g: [exact_mean_var(col) for col in X[y == g].T] for g in (0, 1)}
-        pooled = [exact_mean_var(col) for col in X.T]
-        want = {
-            "mu1_hat": [m for m, _ in exact[1]], "mu0_hat": [m for m, _ in exact[0]],
-            "mu_hat": [m for m, _ in pooled], "var1": [v for _, v in exact[1]],
-            "var0": [v for _, v in exact[0]], "var_total": [v for _, v in pooled],
-            "var_pooled": [(v1 + v0) / 2 for (_, v1), (_, v0) in zip(exact[1], exact[0])],
-        }
-        sd = {"mu1_hat": "var1", "mu0_hat": "var0", "mu_hat": "var_total"}
-        for field, values in want.items():
-            got = getattr(s, field)
-            scale = ([abs(float(m)) + math.sqrt(v) for m, v in zip(values, want[sd[field]])]
-                     if field in sd else [float(v) for v in values])
-            err = max(abs(float(Fraction(a) - b)) / c for a, b, c in zip(got, values, scale))
-            assert err <= 1e-13, (field, err)
+        errors = exact_error(compute_stats(Dataset(X, y)), X, y)
+        assert max(errors.values()) <= 1e-13, errors
+
+    @pytest.mark.parametrize("n, p, k, block", [
+        (1000, 300, 2, None), (1000, 300, 2, 4096), (40, 12, 40, None),
+    ], ids=["k2", "k2_block4096", "leave_one_out"])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_fold_stats_match_exact_arithmetic(self, n, p, k, block, offset, monkeypatch):
+        # Every fold's statistics against exact arithmetic on its training
+        # rows, with the bound above.  At k = 2 each (fold, group) cell has
+        # 250 rows: one row block at the default block, 4 of 64 rows at 4096.
+        # Leave-one-out centers each group on one row, its first.
+        if block:
+            monkeypatch.setattr(core, "_BLOCK", block)
+        X, y = tiled_data(n, p, offset)
+        folds = stratified_folds(y, k, np.random.default_rng(5))
+        for fold, s in enumerate(_fold_stats(X, y, folds, k)):
+            train = folds != fold
+            errors = exact_error(s, X[train], y[train])
+            assert max(errors.values()) <= 1e-13, (fold, errors)
 
     def test_peak_memory_below_one_group(self):
         # A group of 50 x 20000 is 8 MB: a whole-group copy puts the peak

@@ -65,6 +65,19 @@ class TestLoadCsv:
         save_csv(d, path)
         assert path.read_text().splitlines()[0] == "label,a"
 
+    def test_label_column_named_like_a_data_column(self, tmp_path):
+        # The header "label,label,g2" would be written, which load_csv
+        # refuses; the clash is reported before the file is opened.
+        d = Dataset(np.array([[1.0, 2.0]]), np.array([1]), columns=("label", "g2"))
+        path = tmp_path / "d.csv"
+        with pytest.raises(DataValidationError,
+                           match="^label column 'label' is also the name of a data column$"):
+            save_csv(d, path)
+        assert not path.exists()
+        save_csv(Dataset(d.X, columns=d.columns), path)  # no labels, no clash
+        save_csv(d, path, label_column="group")
+        assert load_csv(path, label_column="group").columns == ("label", "g2")
+
     def test_custom_label_column_name(self, tmp_path):
         path = write(tmp_path / "d.csv", "grp,a\n1,2.0\n0,3.0\n")
         back = load_csv(path, label_column="grp")
@@ -525,12 +538,17 @@ class TestStatePersistence:
             ("hyper", [1.0], "hyper is not an object"),
             ("hyper", {"a_y": float("nan")}, r"a_y must be finite, got nan"),
             ("hyper", {"kappa": float("inf")}, r"kappa must be finite, got inf"),
+            ("hyper", {"max_cycles": True}, "hyper max_cycles must be int, got True"),
+            ("hyper", {"a_y": True}, "hyper a_y must be float or int, got True"),
+            ("hyper", {"kappa": True}, "hyper kappa must be float or int, got True"),
+            ("hyper", {"r": "0.9"}, "hyper r must be float or int, got '0.9'"),
             ("columns", [1, 2, 3, 4, 5], "columns must be a list of strings"),
             ("columns", ["a", "b", None, "d", "e"], "columns must be a list of strings"),
             ("columns", "abcde", "columns must be a list of strings"),
             ("cycles_run", 7.5, "cycles_run must be int, got 7.5"),
             ("cycles_run", "7", "cycles_run must be int, got '7'"),
             ("cycles_run", True, "cycles_run must be int, got True"),
+            ("cycles_run", -3, "cycles_run must be >= 0, got -3"),
             ("converged", "false", "converged must be bool, got 'false'"),
             ("converged", 0, "converged must be bool, got 0"),
             ("final_delta", "0.1", "final_delta must be float or int, got '0.1'"),
@@ -538,9 +556,10 @@ class TestStatePersistence:
             ("w", [True, 0.5, 0.5, 0.5, 0.5], "could not convert w: not a list of numbers"),
             ("w", [False] * 5, "could not convert w: not a list of numbers"),
         ],
-        ids=["unknown_hyper_key", "hyper_list", "nan_a_y", "inf_kappa", "int_columns",
+        ids=["unknown_hyper_key", "hyper_list", "nan_a_y", "inf_kappa", "bool_max_cycles",
+             "bool_a_y", "bool_kappa", "text_r", "int_columns",
              "null_column", "string_columns", "fractional_cycles", "text_cycles",
-             "bool_cycles", "text_converged", "int_converged", "text_final_delta",
+             "bool_cycles", "negative_cycles", "text_converged", "int_converged", "text_final_delta",
              "text_w_entry", "bool_w_entry", "bool_w"],
     )
     def test_invalid_header_fields_rejected(self, fitted, tmp_path, key, value, message):
