@@ -22,10 +22,11 @@ Conventions used throughout:
   ``_tiles``, the walker that scoring uses too, one cache-sized tile at a
   time, into an S and a Q of the cell's own, so a caller can free one cell
   while it keeps the others.  All cells of a group share one center, the
-  column means of the first row block the group reads, so the moments of
-  any of its cells add and subtract with no shift.  ``_stats_from_moments``
-  writes its outputs in place, with one scratch vector.  ``_moments``
-  rejects non-finite data and finite values too large to square.
+  column means of the first row block of the group's rows (its cells' rows
+  in cell order), so the moments of any of its cells add and subtract with
+  no shift.  ``_stats_from_moments`` writes its outputs in place, with one
+  scratch vector.  ``_moments`` rejects non-finite data and finite values
+  too large to square.
 * Variances are floored at ``_VARIANCE_FLOOR`` so constant columns degrade
   gracefully instead of producing infinities; a per-variable flag records
   where flooring happened.
@@ -39,6 +40,7 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -336,50 +338,61 @@ def _moments(X: np.ndarray, cells) -> tuple[list, tuple[list, list]]:
     (count, S, Q) of the group's cells about it: the row count of X[rows],
     and the column sums S and sums of squares Q of X[rows] - centers[g].
 
-    Each cell is one pass over its ``_tiles``.  A group's center is the
-    column means of the first row block it reads (the first row block of
-    its first non-empty cell), taken as ones @ tile / rows; a center taken
+    Each group is one pass over the ``_tiles`` of its rows, its cells' rows
+    in cell order.  Its center is the column means of the first row block,
+    taken as ones @ tile / rows, so it is the group's means whenever the
+    group fits in one row block and otherwise averages at least
+    isqrt(``_BLOCK``) of its rows, however small its cells.  A center taken
     from the data keeps S small against Q, so var = Q/n - (S/n)^2 loses
     little to cancellation (the "shifted data" algorithm of Chan, Golub &
-    LeVeque, 1983).  Every tile is centred in place and gives S by a second
-    product and Q by ``einsum``: a cell's first row block writes straight
-    into its arrays, and each later one adds into them.  Every cell has
-    arrays of its own, so a caller can free one cell while it keeps the
-    others.  A NaN or an infinity in a cell, or finite values whose sums or
-    squares overflow, leave its Q non-finite; one check of each cell's Q
-    finds them, and only then are the cell's rows scanned to tell the two
-    apart.
+    LeVeque, 1983).  Every tile is centred in place, and each cell's rows in
+    it give S by a second product and Q by ``einsum``: the tile that holds a
+    cell's first row writes straight into its arrays, and each later one
+    adds into them.  Every cell has arrays of its own, so a caller can free
+    one cell while it keeps the others.  A NaN or an infinity in a group,
+    or finite values whose sums or squares overflow, leave some cell's Q
+    non-finite; one check of each cell's Q finds them, and only then are the
+    group's rows scanned to tell the two apart.
     """
+    cells = list(cells)
     centers, groups = [None, None], ([], [])
     p = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, g in cells:
-            S, Q = np.zeros(p), np.zeros(p)
-            first = centers[g] is None and len(rows) > 0
-            if first:
-                centers[g] = np.empty(p)
+        for g in (0, 1):
+            mine = [rows for rows, h in cells if h == g]
+            groups[g][:] = [(len(rows), np.zeros(p), np.zeros(p)) for rows in mine]
+            starts = np.cumsum([0] + [len(rows) for rows in mine]).tolist()
+            if not starts[-1]:
+                continue
+            rows = np.concatenate(mine)
+            centers[g] = np.empty(p)
             ones = np.ones(_tile_shape(len(rows), p)[0])
             for part, cols, tile in _tiles(X, rows):
-                m = len(tile)
                 c = centers[g][cols]
-                if first and not part.start:
-                    np.matmul(ones[:m], tile, out=c)
-                    c /= m
+                if not part.start:
+                    np.matmul(ones[:len(tile)], tile, out=c)
+                    c /= len(tile)
                 tile -= c
-                if part.start:
-                    S[cols] += ones[:m] @ tile
-                    Q[cols] += np.einsum("ij,ij->j", tile, tile)
-                else:
-                    np.matmul(ones[:m], tile, out=S[cols])
-                    np.einsum("ij,ij->j", tile, tile, out=Q[cols])
+                i = bisect.bisect_right(starts, part.start) - 1
+                while i < len(mine) and starts[i] < part.stop:
+                    a, b = max(starts[i], part.start), min(starts[i + 1], part.stop)
+                    if a < b:
+                        rows_in = tile[a - part.start:b - part.start]
+                        _, S, Q = groups[g][i]
+                        if a == starts[i]:
+                            np.matmul(ones[:b - a], rows_in, out=S[cols])
+                            np.einsum("ij,ij->j", rows_in, rows_in, out=Q[cols])
+                        else:
+                            S[cols] += ones[:b - a] @ rows_in
+                            Q[cols] += np.einsum("ij,ij->j", rows_in, rows_in)
+                    i += 1
                 # Free the tile before the next gather, so that its memory is
                 # reused rather than fresh pages faulted in for every tile.
-                del tile
-            if not np.isfinite(Q.max()):  # the max of Q propagates NaN
+                del tile, rows_in
+            if not all(np.isfinite(Q.max()) for _, _, Q in groups[g]):  # max propagates NaN
                 if all(np.isfinite(tile).all() for _, _, tile in _tiles(X, rows)):
                     raise DataValidationError("training data contain values too large to square")
                 raise DataValidationError("training data contain non-finite values")
-            groups[g].append((len(rows), S, Q))
     return centers, groups
 
 

@@ -15,8 +15,8 @@ in place, its training fold's group moments: the group totals minus the
 cell.  A fold's cells are freed as its statistics are built, and its
 statistics once it is scored, so the working memory shrinks fold by fold.
 Both the moments and the scores of the held-out rows are one pass over
-``core._tiles``, which gathers each cache-sized tile of a cell's rows once,
-where they lie in the data matrix.
+``core._tiles``, which gathers each cache-sized tile of a group's rows, or
+of the held-out rows, once, where they lie in the data matrix.
 
 ``consistency_experiment`` tracks the soft selection errors
 e0 = sum of w over noise variables, e1 = sum of (1 - w) over signal

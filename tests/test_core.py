@@ -440,7 +440,8 @@ class TestTiledMoments:
         # Every fold's statistics against exact arithmetic on its training
         # rows, with the bound above.  At k = 2 each (fold, group) cell has
         # 250 rows: one row block at the default block, 4 of 64 rows at 4096.
-        # Leave-one-out centers each group on one row, its first.
+        # Leave-one-out makes cells of one row; each group is still centred
+        # on the means of its first row block, here the whole group.
         if block:
             monkeypatch.setattr(core, "_BLOCK", block)
         X, y = tiled_data(n, p, offset)
@@ -449,6 +450,33 @@ class TestTiledMoments:
             train = folds != fold
             errors = exact_error(s, X[train], y[train])
             assert max(errors.values()) <= 1e-13, (fold, errors)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_leave_one_out_outlier_matches_exact_arithmetic(self, offset):
+        # Each group's first row in fold order, the first row a one-row-cell
+        # center would take, lies 1e3 off on the columns of sd 1e-3.  Folds
+        # that train on it keep the bound above.  A fold that holds it out
+        # is its group's totals minus that row, so its variances lose about
+        # eps * kappa to cancellation, kappa being the largest ratio of the
+        # group's centred sum of squares to the fold's; that is allowed 8x.
+        # A center on the outlier itself would cost about n/2 times kappa.
+        n, small = 100, slice(0, 12, 2)
+        X, y = tiled_data(n, 12, offset)
+        X[:, small] = offset + (X[:, small] - offset) * 1e-3
+        folds = stratified_folds(y, n, np.random.default_rng(5))
+        order = np.argsort(2 * folds + y, kind="stable")
+        first = [order[y[order] == g][0] for g in (0, 1)]
+        X[first, small] += 1e3
+        for fold, s in enumerate(_fold_stats(X, y, folds, n)):
+            train = folds != fold
+            error = max(exact_error(s, X[train], y[train]).values())
+            bound = 1e-13
+            for g in (0, 1):
+                if not train[first[g]]:
+                    group, rest = X[y == g], X[train & (y == g)]
+                    kappa = (group.var(axis=0) * len(group) / (rest.var(axis=0) * len(rest))).max()
+                    bound = 8 * np.finfo(float).eps * kappa
+            assert error <= bound, (fold, error, bound)
 
     def test_peak_memory_below_one_group(self):
         # A group of 50 x 20000 is 8 MB: a whole-group copy puts the peak
