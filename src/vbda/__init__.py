@@ -4,7 +4,7 @@ Two classifiers over independent Gaussian variables: a linear variant with a
 shared group variance (VLDA) and a quadratic variant with group-specific
 variances (VQDA).  Each variable carries a selection probability w_j updated
 by fast collapsed variational cycles; prediction plugs the trained w into a
-diagonal discriminant rule.  An exact enumeration oracle, a simulation
+diagonal discriminant rule.  An exact-posterior oracle, a simulation
 generator, evaluation harness, CSV/JSON I/O, and a CLI round out the package.
 """
 

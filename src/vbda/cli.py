@@ -45,7 +45,7 @@ from .dataio import (
     write_tsv,
 )
 from .evalharness import consistency_experiment, kfold_cv
-from .oracle import exact_posterior
+from .oracle import CHAIN_MAX_P, exact_posterior
 from .rcvb import _FITTERS, predict, select_variables
 from .simgen import SimSetting, generate, setting_from_index
 
@@ -241,16 +241,9 @@ def cmd_oracle(args) -> int:
     rows = [("variable_id", "marginal"),
             *zip(_column_names(d.columns, d.p), ep.gamma_marginals.tolist())]
     write_tsv(rows, os.path.join(out, "oracle.tsv"))
-    write_json(
-        {
-            "model": args.model,
-            "y_marginal": float(ep.y_marginal),
-            "log_marginal": float(ep.log_marginal),
-            "configurations": int(ep.gammas.shape[0]),
-        },
-        os.path.join(out, "oracle.json"),
-    )
-    print(f"enumerated {ep.gammas.shape[0]} configurations over p={d.p} -> {out}")
+    doc = {"model": args.model, "y_marginal": ep.y_marginal, "log_marginal": ep.log_marginal}
+    write_json(doc, os.path.join(out, "oracle.json"))
+    print(f"exact posterior over p={d.p}: P(new label 1) = {ep.y_marginal:.4f} -> {out}")
     return 0
 
 
@@ -321,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_con)
     p_con.set_defaults(func=cmd_consistency)
 
-    p_or = sub.add_parser("oracle", help="exact posterior by enumeration (small p)")
+    p_or = sub.add_parser("oracle", help=f"exact posterior by a count chain (p <= {CHAIN_MAX_P})")
     p_or.add_argument("--data", required=True, help="training CSV path")
     p_or.add_argument("--label", default="label")
     p_or.add_argument("--new", required=True, help="CSV with exactly one unlabeled row")

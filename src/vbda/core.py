@@ -4,8 +4,8 @@ Both classifiers in this package test, for every variable j, a null model
 (one mean, one variance) against a group-structured alternative: separate
 group means with a shared variance for the linear variant (VLDA), separate
 group means and variances for the quadratic variant (VQDA).  Everything
-downstream -- selection probabilities, classification rules, the exact
-enumeration oracle -- is assembled from the per-variable maximum likelihood
+downstream -- selection probabilities, classification rules, the
+exact-posterior oracle -- is assembled from the per-variable maximum likelihood
 estimates plus two penalty ingredients defined here: the global sparsity
 constant b_gamma and the Stirling-corrected log-gamma term xi.
 
@@ -77,7 +77,8 @@ class DomainError(CoreError, ValueError):
 
 
 class CapacityError(CoreError, ValueError):
-    """The request exceeds a hard size limit (e.g. exact enumeration width)."""
+    """The request exceeds a hard size limit (e.g. the exact posterior's
+    (p+1)-by-(p+1) count-chain table)."""
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -127,10 +128,12 @@ class Dataset:
         X = _as_matrix(self.X)
         if X.shape[1] < 1:
             raise DataValidationError("dataset needs at least one variable (p >= 1)")
-        if not _all_finite(X):
-            bad = np.argwhere(~np.isfinite(X))[0]
+        rows = _non_finite_rows(X)
+        if rows is not None:  # the first bad cell lies in this block of rows
+            block = X[rows]
+            i, j = np.unravel_index(np.argmin(np.isfinite(block)), block.shape)
             raise DataValidationError(
-                f"non-finite value in X at row {bad[0]}, column {bad[1]}"
+                f"non-finite value in X at row {rows.start + i}, column {j}"
             )
         X = X.view()
         X.setflags(write=False)
@@ -294,21 +297,27 @@ def _tile_shape(m: int, p: int) -> tuple[int, int]:
     return max(1, min(m, _BLOCK // width)), width
 
 
-def _all_finite(X: np.ndarray) -> bool:
-    """Whether every value of the matrix X is finite, read by blocks of rows
-    of at most ``_BLOCK`` elements (or one row), so that no n-by-p mask is
-    made.  Each block is first read by one BLAS call, its dot product with
-    itself, which is NaN or inf if the block holds a NaN or an infinity.
-    Only a block whose dot product is not finite (non-finite values, or
-    finite ones whose squares overflow) is scanned value by value.  A block
-    that is not contiguous is copied for the dot product."""
+def _non_finite_rows(X: np.ndarray) -> slice | None:
+    """The first block of rows of the matrix X that holds a value that is not
+    finite, or None.  Blocks hold at most ``_BLOCK`` elements (or one row),
+    so that no n-by-p mask is made.  Each block is first read by one BLAS
+    call, its dot product with itself, which is NaN or inf if the block holds
+    a NaN or an infinity.  Only a block whose dot product is not finite
+    (non-finite values, or finite ones whose squares overflow) is scanned
+    value by value.  A block that is not contiguous is copied for the dot
+    product."""
     step = max(1, _BLOCK // max(X.shape[1], 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(0, len(X), step):
             block = X[top:top + step].ravel()
             if not math.isfinite(block @ block) and not np.isfinite(block).all():
-                return False
-    return True
+                return slice(top, top + step)
+    return None
+
+
+def _all_finite(X: np.ndarray) -> bool:
+    """Whether every value of the matrix X is finite (see ``_non_finite_rows``)."""
+    return _non_finite_rows(X) is None
 
 
 def _tiles(X: np.ndarray, rows=None):

@@ -1,15 +1,11 @@
-"""Ground truth for tests: exact enumeration of the posterior.
+"""Ground truth for tests: the exact posterior over (gamma, y_new).
 
 This module deliberately avoids the Taylor shortcuts used by the fitting
-code.  The enumeration walks all 2^(p+1) configurations of (gamma, y_new)
-with the *exact* with-new-observation statistics, accumulating weights in
-log space, to catch sign and scaling mistakes in the analytic code paths.
-It is also exposed through the command line (``vbda oracle``), for
-desk-scale runs.  (The numeric-maximization checks of the likelihood ratio
-statistics live with the tests, in ``tests/numeric_mle.py``.)
-
-scipy is imported only when an oracle function runs, so importing the
-package or its command line does not load it.
+code.  It sums the weights of all 2^(p+1) configurations of (gamma, y_new)
+with the *exact* with-new-observation statistics, in log space, to catch
+sign and scaling mistakes in the analytic code paths; ``vbda oracle`` runs
+it from the command line.  (The numeric-maximization checks of the
+likelihood ratio statistics live with the tests, in ``tests/numeric_mle.py``.)
 """
 
 from __future__ import annotations
@@ -20,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _XI_SERIES_CUTOFF,
     CapacityError,
     DataValidationError,
     Dataset,
@@ -35,7 +32,8 @@ from .core import (
 
 __all__ = ["ExactPosterior", "exact_posterior"]
 
-ENUMERATION_MAX_P = 15
+# The count chain holds one (p+1)-by-(p+1) float64 table, 128 MiB at this p.
+CHAIN_MAX_P = 4095
 
 
 def _stats_with_new(d: Dataset, x_new) -> tuple[VariableStats, VariableStats]:
@@ -93,98 +91,106 @@ def _lambda_bayes(model: str, s: VariableStats, n: int) -> np.ndarray:
     )
 
 
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) from ``math`` and ``xi``: once the larger argument b reaches
+    10, log Gamma(b) - log Gamma(a+b) goes through xi, which does not cancel."""
+    a, b = min(a, b), max(a, b)
+    if b < _XI_SERIES_CUTOFF:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return math.lgamma(a) + xi(b) - xi(a + b) + a - b * math.log1p(a / b) - a * math.log(a + b)
+
+
 # Above this value of log(b) the direct route through exp(log_b) would lose
-# precision or overflow, and the two-term asymptotic expansion of
-# log B(a, b) is already accurate to ~a^3/b^2 < 1e-20.
+# precision or overflow; the two-term asymptotic expansion of log B(a, b)
+# omits about a^3/(6 b^2), under 1e-20 at a = 20 and 2e-12 at a = 4096.
 _LOG_BETA_ASYMPTOTIC_CUTOFF = 25.0
 
 
 def _log_beta_shifted(a: float, log_b: float, shift: float) -> float:
     """log B(a, b + shift) where b is supplied as log(b) and may be huge."""
-    from scipy.special import betaln, gammaln
-
     if log_b <= _LOG_BETA_ASYMPTOTIC_CUTOFF:
-        return float(betaln(a, math.exp(log_b) + shift))
-    log_bsum = np.logaddexp(log_b, math.log(shift)) if shift > 0 else log_b
-    return float(
-        gammaln(a) - a * log_bsum - 0.5 * a * (a - 1.0) * math.exp(-log_bsum)
-    )
+        return _log_beta(a, math.exp(log_b) + shift)
+    log_bsum = float(np.logaddexp(log_b, math.log(shift))) if shift > 0 else log_b
+    return math.lgamma(a) - a * log_bsum - 0.5 * a * (a - 1.0) * math.exp(-log_bsum)
+
+
+def _count_chain(half_lam: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
+    """log Z_j for each j, then log Z, where Z sums prior(1'gamma) exp(gamma'h)
+    over every gamma, h = ``half_lam`` and prior(k) = exp(log_prior[k]), and
+    Z_j is its part with gamma_j = 1: the recursion of conditional Poisson
+    sampling (Chen, Dempster & Liu, Biometrika 1994), O(p^2) in log space.
+
+    The forward table F[j, a] = log e_a(exp(h_0), ..., exp(h_{j-1})) holds the
+    elementary symmetric polynomials of the first j variables, and B[a], built
+    backward, sums prior(a + k') exp(h'gamma') over the k' ones of the later
+    variables' gamma'.  So Z_j = sum_a exp(F[j, a] + h_j + B[a + 1]), B taken
+    past j, and Z = B[0] before the first variable.
+    """
+    p = half_lam.size
+    F = np.full((p + 1, p + 1), -np.inf)
+    F[:, 0] = 0.0
+    for j, h in enumerate(half_lam):
+        F[j + 1, 1:j + 2] = np.logaddexp(F[j, 1:j + 2], F[j, :j + 1] + h)
+    B, out = log_prior, np.empty(p + 1)
+    for j in range(p - 1, -1, -1):
+        h = half_lam[j]
+        out[j] = np.logaddexp.reduce(F[j, :j + 1] + h + B[1:j + 2])
+        B = np.logaddexp(B[:j + 1], h + B[1:j + 2])
+    out[p] = B[0]
+    return out
 
 
 @dataclass(frozen=True)
 class ExactPosterior:
-    """Joint enumeration over (gamma, y_new) on a small problem.
-
-    ``log_weights[g, y]`` is the log joint weight of configuration row g of
-    ``gammas`` with new label y, up to one additive constant shared by every
-    configuration (the product of null-model marginals, which cancels from
-    all posterior quantities).  ``log_marginal`` is the log-sum-exp of the
-    weights modulo the same constant.  ``gamma_marginals`` and
+    """The exact posterior over (gamma, y_new).  ``log_marginal`` is the log
+    of the summed weights of all configurations, up to one additive constant
+    shared by every configuration (the product of null-model marginals, which
+    cancels from all posterior quantities).  ``gamma_marginals`` and
     ``y_marginal`` are clipped to [0, 1], which their sums can pass by
     rounding.
     """
 
-    gammas: np.ndarray
-    log_weights: np.ndarray
     gamma_marginals: np.ndarray
     y_marginal: float
     log_marginal: float
 
 
 def exact_posterior(
-    d: Dataset,
-    x_new,
-    h: Hyperparameters | None = None,
-    model: str = "vlda",
+    d: Dataset, x_new, h: Hyperparameters | None = None, model: str = "vlda"
 ) -> ExactPosterior:
-    """Enumerate the exact posterior over all 2^(p+1) configurations.
+    """The exact posterior, by one ``_count_chain`` per new label.
 
     Every weight combines the label-prior Beta mass, the inclusion-prior
     Beta mass, and half the summed evidence statistics of the included
-    variables:
+    variables, so it depends on gamma only through 1'gamma and gamma'lambda:
 
         log w(gamma, y) = log B(a_y + n1 + y, b_y + n0 + 1 - y)
                           + log B(a_gamma + 1'gamma, b_gamma + p - 1'gamma)
                           + (1/2) gamma' lambda_bayes(y)
 
-    accumulated in log space with one final log-sum-exp.  Refuses p > 15.
+    Refuses p > ``CHAIN_MAX_P`` before building any table.
     """
-    from scipy.special import betaln, logsumexp
-
     h = h or Hyperparameters()
     d.validate_training()
-    if d.p > ENUMERATION_MAX_P:
+    if d.p > CHAIN_MAX_P:
         raise CapacityError(
-            f"exact enumeration is limited to p <= {ENUMERATION_MAX_P}, got p={d.p}"
+            f"the exact posterior is limited to p <= {CHAIN_MAX_P} "
+            f"(a (p+1)^2 table of float64), got p={d.p}"
         )
     if model not in ("vlda", "vqda"):
         raise DataValidationError(f"unknown model {model!r}")
-    lam = np.stack([_lambda_bayes(model, s, d.n) for s in _stats_with_new(d, x_new)])
-
-    p = d.p
-    n_cfg = 1 << p
-    # Bit j of the row index is gamma_j, so row ordering is reproducible.
-    gammas = ((np.arange(n_cfg)[:, None] >> np.arange(p)) & 1).astype(np.float64)
-    k = gammas.sum(axis=1).astype(np.intp)
     log_bg = log_b_gamma(d.n, d.p, h.r, h.kappa)
-    prior_by_count = np.array(
-        [_log_beta_shifted(h.a_gamma + kk, log_bg, float(p - kk)) for kk in range(p + 1)]
+    log_prior = np.array(
+        [_log_beta_shifted(h.a_gamma + k, log_bg, float(d.p - k)) for k in range(d.p + 1)]
     )
-    log_weights = np.empty((n_cfg, 2))
-    for y in (0, 1):
-        log_label_prior = float(
-            betaln(h.a_y + d.n1 + y, h.b_y + d.n0 + 1 - y)
-        )
-        log_weights[:, y] = log_label_prior + prior_by_count[k] + 0.5 * (gammas @ lam[y])
-    log_marginal = float(logsumexp(log_weights))
-    post = np.exp(log_weights - log_marginal)
+    # Row y: log Z_j and log Z of new label y, with its label prior.
+    log_w = np.stack([
+        _log_beta(h.a_y + d.n1 + y, h.b_y + d.n0 + 1 - y)
+        + _count_chain(0.5 * _lambda_bayes(model, s, d.n), log_prior)
+        for y, s in enumerate(_stats_with_new(d, x_new))
+    ])
+    log_marginal = float(np.logaddexp(*log_w[:, -1]))
+    post = np.exp(log_w - log_marginal)
     # Rounding can carry a sum of probabilities a few ulps past 1.
-    y_marginal = float(np.clip(post[:, 1].sum(), 0.0, 1.0))
-    gamma_marginals = np.clip(post.sum(axis=1) @ gammas, 0.0, 1.0)
-    return ExactPosterior(
-        gammas=gammas.astype(np.int8),
-        log_weights=log_weights,
-        gamma_marginals=gamma_marginals,
-        y_marginal=y_marginal,
-        log_marginal=log_marginal,
-    )
+    return ExactPosterior(np.minimum(post[0, :-1] + post[1, :-1], 1.0),
+                          min(float(post[1, -1]), 1.0), log_marginal)

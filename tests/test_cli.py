@@ -14,6 +14,7 @@ import vbda
 from vbda import Dataset, load_state, save_csv
 from vbda import cli
 from vbda.cli import main
+from vbda.oracle import CHAIN_MAX_P
 
 from conftest import make_balanced
 
@@ -375,23 +376,23 @@ class TestOracle:
                    "--out-dir", str(out)])
         assert rc == 0
         doc = read_json(out / "oracle.json")
-        assert doc["configurations"] == 256
         # The marginals are written once, to oracle.tsv.
-        assert "gamma_marginals" not in doc
+        assert set(doc) == {"model", "y_marginal", "log_marginal"}
         rows = read_tsv(out / "oracle.tsv")
         assert [r["variable_id"] for r in rows] == [f"v{j + 1}" for j in range(8)]
         d = vbda.load_csv(train, label_column="label")
         ep = vbda.exact_posterior(d, np.zeros(8), vbda.Hyperparameters())
         assert [float(r["marginal"]) for r in rows] == ep.gamma_marginals.tolist()
+        assert [doc["y_marginal"], doc["log_marginal"]] == [ep.y_marginal, ep.log_marginal]
         assert 0.0 <= doc["y_marginal"] <= 1.0
-        assert "256 configurations" in capsys.readouterr().out
+        assert "exact posterior over p=8" in capsys.readouterr().out
 
     def test_capacity_exit_4(self, tmp_path, capsys):
-        train, new = self.make_files(tmp_path, 16)
+        train, new = self.make_files(tmp_path, CHAIN_MAX_P + 1)
         rc = main(["oracle", "--data", str(train), "--new", str(new),
                    "--out-dir", str(tmp_path / "or2")])
         assert rc == 4
-        assert "p <= 15" in capsys.readouterr().err
+        assert f"p <= {CHAIN_MAX_P}" in capsys.readouterr().err
 
     def test_multi_row_new_exit_3(self, tmp_path, capsys):
         train, _ = self.make_files(tmp_path, 4)
@@ -462,15 +463,46 @@ class TestImportPath:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == ""
 
-    def test_version_stated_once(self):
-        # pyproject.toml takes the project version from vbda.__version__.
+    def test_oracle_runs_without_scipy(self, tmp_path):
+        # scipy made unimportable: exact_posterior and `vbda oracle` still run.
+        train, d = write_training_csv(tmp_path, n=16, p=5)
+        new = tmp_path / "new.csv"
+        save_csv(Dataset(np.zeros((1, 5))), new)
+        src = str(Path(vbda.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
+            "import numpy as np, vbda, vbda.cli; "
+            "d = vbda.load_csv(sys.argv[2], label_column='label'); "
+            "print(vbda.exact_posterior(d, np.zeros(5)).y_marginal); "
+            "sys.exit(vbda.cli.main(['oracle', '--data', sys.argv[2], '--new', sys.argv[3], "
+            "'--out-dir', sys.argv[4]]))"
+        )
+        out = tmp_path / "or"
+        proc = subprocess.run([sys.executable, "-c", code, src, str(train), str(new), str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        y_marginal = float(proc.stdout.splitlines()[0])
+        assert read_json(out / "oracle.json")["y_marginal"] == y_marginal
+        assert y_marginal == vbda.exact_posterior(d, np.zeros(5)).y_marginal
+
+    @staticmethod
+    def project_table():
         from setuptools.config.pyprojecttoml import read_configuration
 
         pyproject = Path(vbda.__file__).resolve().parents[2] / "pyproject.toml"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
-            conf = read_configuration(pyproject, expand=True)
-        assert conf["project"]["version"] == vbda.__version__
+            return read_configuration(pyproject, expand=True)["project"]
+
+    def test_version_stated_once(self):
+        # pyproject.toml takes the project version from vbda.__version__.
+        assert self.project_table()["version"] == vbda.__version__
+
+    def test_numpy_is_the_one_runtime_dependency(self):
+        # scipy and mpmath are test references, in the test extras.
+        project = self.project_table()
+        assert project["dependencies"] == ["numpy>=1.24"]
+        assert {"scipy>=1.10", "mpmath>=1.0"} <= set(project["optional-dependencies"]["test"])
 
     # The package's 49 public names, sorted; each appears once.
     PUBLIC = [
@@ -493,7 +525,7 @@ class TestImportPath:
         code = (
             "import json, sys; sys.path.insert(0, sys.argv[1]); import vbda; "
             "star = {}; exec('from vbda import *', star); "
-            "from vbda.oracle import ENUMERATION_MAX_P; "
+            "from vbda.oracle import CHAIN_MAX_P; "
             "from vbda.dataio import selection_rows, prediction_rows, write_tsv, write_json; "
             "print(json.dumps({'all': vbda.__all__, "
             "'unbound': [n for n in vbda.__all__ if not hasattr(vbda, n)], "
@@ -503,7 +535,7 @@ class TestImportPath:
         proc = subprocess.run([sys.executable, "-c", code, src],
                               capture_output=True, text=True, check=True)
         doc = json.loads(proc.stdout)
-        assert sorted(doc["all"]) == self.PUBLIC  # so 51 names, none twice
+        assert sorted(doc["all"]) == self.PUBLIC  # so 49 names, none twice
         assert doc["unbound"] == []
         assert doc["star"] == self.PUBLIC
         modules = ["core", "dataio", "evalharness", "oracle", "rcvb", "simgen"]
