@@ -1,14 +1,21 @@
 """Command-line front end.
 
-Every successful run writes its data files plus a metadata.json (full
-config, seed, package version, wall-clock timing) into --out-dir.  The data
-files are fit: fit_state.json, selection.tsv and fit_diagnostics.json (cycle
-count, final delta, floored variables); predict: predictions.tsv; simulate:
-train.csv, valid.csv and test.csv (each when nonempty) and truth.json; cv:
-cv_report.tsv; consistency: consistency.tsv and consistency.json (medians);
-oracle: oracle.tsv and oracle.json.  Data files are deterministic given the
-flags and seed; only the metadata record carries timing.  stdout is
-reserved for human-readable progress.
+Each subcommand takes only the flags its code reads, as the table
+``_READS`` states: fit takes all nine hyperparameters, because they go into
+the fit state that predict and select_variables read, while fit, predict
+and oracle draw nothing and take no --seed.  Any other flag is a usage
+error.
+
+Every successful run writes its data files plus a metadata.json (its
+flags, its seed or null, package version, wall-clock timing) into
+--out-dir.  The data files are fit: fit_state.json, selection.tsv and
+fit_diagnostics.json (cycle count, final delta, floored variables);
+predict: predictions.tsv; simulate: train.csv, valid.csv and test.csv (each
+when nonempty) and truth.json; cv: cv_report.tsv; consistency:
+consistency.tsv and consistency.json (medians); oracle: oracle.tsv and
+oracle.json.  Data files are deterministic given the flags and seed; only
+the metadata record carries timing.  stdout is reserved for human-readable
+progress.
 
 Exit codes: 0 success, 1 internal error, 2 usage error, 3 data/domain
 error, 4 capacity error.  Past argument parsing, every error is reported
@@ -64,11 +71,24 @@ _HYPER_FLAGS = {
     "--max-cycles": ("max_cycles", "update-cycle cap"),
 }
 
+# subcommand -> (the Hyperparameters fields its code reads, whether it takes
+# --seed); build_parser gives each subcommand these flags and no others.
+_READS = {
+    "fit": (tuple(field for field, _ in _HYPER_FLAGS.values()), False),
+    "predict": (("a_y", "b_y", "c_y", "eps", "max_cycles"), False),
+    "simulate": ((), True),
+    "cv": (("a_y", "b_y", "a_gamma", "r", "kappa", "c_y", "eps", "max_cycles"), True),
+    "consistency": (("a_gamma", "r", "kappa", "c_w", "eps", "max_cycles"), True),
+    "oracle": (("a_y", "b_y", "a_gamma", "r", "kappa"), False),
+}
 
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
+
+def _add_hyper_flags(p: argparse.ArgumentParser, fields) -> None:
     g = p.add_argument_group("model hyperparameters")
     for flag, (field, text) in _HYPER_FLAGS.items():
-        g.add_argument(flag, type=type(getattr(Hyperparameters, field)), default=None, help=text)
+        if field in fields:
+            g.add_argument(flag, type=type(getattr(Hyperparameters, field)), default=None,
+                           help=text)
 
 
 def _hyper_from_args(args, base: Hyperparameters | None = None) -> Hyperparameters:
@@ -255,17 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    def common(p, command, model=True):
+        fields, seeded = _READS[command]
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--out-dir", default=".", help="directory for outputs")
         if model:
             p.add_argument("--model", choices=tuple(_FITTERS), default="vlda")
-        _add_hyper_flags(p)
+        _add_hyper_flags(p, fields)
 
     p_fit = sub.add_parser("fit", help="fit selection probabilities on a labeled CSV")
     p_fit.add_argument("--data", required=True, help="training CSV path")
     p_fit.add_argument("--label", default="label", help="label column name")
-    common(p_fit)
+    common(p_fit, "fit")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="score new rows with a saved fit state")
@@ -276,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "it must be present")
     p_pred.add_argument("--coupled", action="store_true",
                         help="couple the scored rows through the shared label-frequency posterior")
-    common(p_pred, model=False)
+    common(p_pred, "predict", model=False)
     p_pred.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="draw one synthetic replicate")
@@ -287,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n-test", type=int, default=None)
     p_sim.add_argument("--delta-sigma", type=float, default=None,
                        help="extra group-0 SD on signal variables")
-    common(p_sim, model=False)
+    common(p_sim, "simulate", model=False)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cv = sub.add_parser("cv", help="repeated stratified k-fold cross-validation")
@@ -296,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--k", type=int, default=5)
     p_cv.add_argument("--reps", type=int, default=1)
     p_cv.add_argument("--coupled", action="store_true")
-    common(p_cv)
+    common(p_cv, "cv")
     p_cv.set_defaults(func=cmd_cv)
 
     p_con = sub.add_parser(
@@ -311,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated training sizes")
     p_con.add_argument("--p", type=int, default=None)
     p_con.add_argument("--reps", type=int, default=25)
-    common(p_con)
+    common(p_con, "consistency")
     p_con.set_defaults(func=cmd_consistency)
 
     p_or = sub.add_parser("oracle", help=f"exact posterior by a count chain (p <= {CHAIN_MAX_P})")
     p_or.add_argument("--data", required=True, help="training CSV path")
     p_or.add_argument("--label", default="label")
     p_or.add_argument("--new", required=True, help="CSV with exactly one unlabeled row")
-    common(p_or)
+    common(p_or, "oracle")
     p_or.set_defaults(func=cmd_oracle)
 
     return parser

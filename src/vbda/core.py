@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -213,7 +214,9 @@ class Hyperparameters:
     probability; r < 1 and kappa > 0 control how fast b_gamma grows with n.
     c_w and c_y are the selection and classification thresholds.  eps bounds
     the squared norm of successive selection-probability updates.  Every
-    float must be finite.
+    float must be finite.  Each float field is stored as a Python float and
+    max_cycles as a Python int, whatever real or integer type was passed,
+    so that every accepted value saves and loads back; a bool is refused.
     """
 
     a_y: float = 1.0
@@ -229,8 +232,11 @@ class Hyperparameters:
     def __post_init__(self):
         for name in ("a_y", "b_y", "a_gamma", "r", "kappa", "c_w", "c_y", "eps"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
         if self.a_y < 0 or self.b_y < 0:
             raise DomainError("a_y and b_y must be nonnegative")
         if self.a_gamma <= 0:
@@ -249,8 +255,9 @@ class Hyperparameters:
             max_cycles = operator.index(self.max_cycles)  # any integer type
         except TypeError:
             max_cycles = 0  # not an integer: rejected below
-        if max_cycles < 1:
+        if isinstance(self.max_cycles, bool) or max_cycles < 1:
             raise DomainError("max_cycles must be a positive integer")
+        object.__setattr__(self, "max_cycles", max_cycles)
 
 
 @dataclass(frozen=True)
@@ -505,9 +512,10 @@ def log_b_gamma(n: int, p: int, r: float, kappa: float) -> float:
 
 
 # Stirling series for xi(x) = log Gamma(x) + x - x log x - (1/2) log(2 pi).
-# For x >= _XI_SERIES_CUTOFF the series below is accurate to machine
-# precision (next omitted term is 1/(1188 x^9) < 1e-12 at x = 10); below the
-# cutoff the direct log-gamma evaluation has no cancellation problem.
+# For x >= _XI_SERIES_CUTOFF the series below runs to the x^-11 term; the
+# first omitted term, 1/(156 x^13), is 6.4e-16 at x = 10, so the series is
+# within a few ulp of xi there and closer above.  Below the cutoff the
+# direct log-gamma evaluation has no cancellation problem.
 _XI_SERIES_CUTOFF = 10.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -533,6 +541,8 @@ def xi(x: float) -> float:
         - inv * inv2 * (1.0 / 360.0)
         + inv * inv2 * inv2 * (1.0 / 1260.0)
         - inv * inv2 * inv2 * inv2 * (1.0 / 1680.0)
+        + inv * inv2 * inv2 * inv2 * inv2 * (1.0 / 1188.0)
+        - inv * inv2 * inv2 * inv2 * inv2 * inv2 * (691.0 / 360360.0)
     )
 
 

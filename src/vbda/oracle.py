@@ -3,9 +3,12 @@
 This module deliberately avoids the Taylor shortcuts used by the fitting
 code.  It sums the weights of all 2^(p+1) configurations of (gamma, y_new)
 with the *exact* with-new-observation statistics, in log space, to catch
-sign and scaling mistakes in the analytic code paths; ``vbda oracle`` runs
-it from the command line.  (The numeric-maximization checks of the
-likelihood ratio statistics live with the tests, in ``tests/numeric_mle.py``.)
+sign and scaling mistakes in the analytic code paths.  A weight depends on
+gamma only through its count of ones and its summed evidence, so the sum
+takes one O(p^2) count chain per new label, not an enumeration;
+``vbda oracle`` runs it from the command line.  (The numeric-maximization
+checks of the likelihood ratio statistics live with the tests, in
+``tests/numeric_mle.py``.)
 """
 
 from __future__ import annotations

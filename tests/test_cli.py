@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process, against temp directories."""
 
+import argparse
 import csv
 import json
 import subprocess
@@ -422,7 +423,101 @@ def test_negative_seed_is_exit_3(tmp_path, capsys, argv):
     assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "command, seed",
+    [("fit", None), ("predict", None), ("oracle", None),
+     ("simulate", 3), ("cv", 3), ("consistency", 3)],
+)
+def test_metadata_records_the_flags_taken(tmp_path, command, seed):
+    # fit, predict and oracle draw nothing, so they take no --seed and record
+    # none; the config holds exactly the flags the subcommand takes.
+    data, _ = write_training_csv(tmp_path, n=24, p=3)
+    new = tmp_path / "new.csv"
+    save_csv(Dataset(np.zeros((1, 3))), new)
+    fit = tmp_path / "fit"
+    assert main(["fit", "--data", str(data), "--out-dir", str(fit)]) == 0
+    argv = {
+        "fit": ["--data", str(data)],
+        "predict": ["--state", str(fit / "fit_state.json"), "--data", str(new)],
+        "oracle": ["--data", str(data), "--new", str(new)],
+        "simulate": ["--setting", "1", "--p", "60", "--n", "20", "--seed", "3"],
+        "cv": ["--data", str(data), "--k", "3", "--seed", "3"],
+        "consistency": ["--setting", "1", "--p", "60", "--n", "20", "--reps", "1",
+                        "--seed", "3"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out-dir", str(out)]) == 0
+    meta = read_json(out / "metadata.json")
+    assert meta["seed"] == seed
+    taken = {flag[2:].replace("-", "_") for flag in TestUsage.OPTIONS[command].split()}
+    assert set(meta["config"]) == {"command", *taken}
+
+
 class TestUsage:
+    # Each subcommand's options, its own then the shared ones its code reads:
+    # 70 in all.  fit takes all nine hyperparameters because the state holds
+    # them for predict and select_variables.
+    OPTIONS = {
+        "fit": "--data --label --out-dir --model "
+               "--ay --by --agamma --r --kappa --cw --cy --eps --max-cycles",
+        "predict": "--state --data --label --coupled --out-dir --ay --by --cy --eps --max-cycles",
+        "simulate": "--setting --n --p --n-valid --n-test --delta-sigma --seed --out-dir",
+        "cv": "--data --label --k --reps --coupled --seed --out-dir --model "
+              "--ay --by --agamma --r --kappa --cy --eps --max-cycles",
+        "consistency": "--setting --n --p --reps --seed --out-dir --model "
+                       "--agamma --r --kappa --cw --eps --max-cycles",
+        "oracle": "--data --label --new --out-dir --model --ay --by --agamma --r --kappa",
+    }
+
+    # (subcommand, flag) for each of the 24 flags that a subcommand took and
+    # no code of it read.
+    REMOVED = [
+        ("fit", "--seed"),
+        *(("predict", flag) for flag in ("--seed", "--agamma", "--r", "--kappa", "--cw")),
+        *(("simulate", flag) for flag in cli._HYPER_FLAGS),
+        ("cv", "--cw"),
+        *(("consistency", flag) for flag in ("--ay", "--by", "--cy")),
+        *(("oracle", flag) for flag in ("--seed", "--cw", "--cy", "--eps", "--max-cycles")),
+    ]
+
+    # The required flags of each subcommand, so that a usage error can only
+    # come from the flag under test.
+    REQUIRED = {
+        "fit": ["--data", "x.csv"],
+        "predict": ["--state", "s.json", "--data", "x.csv"],
+        "simulate": ["--setting", "1"],
+        "cv": ["--data", "x.csv"],
+        "consistency": [],
+        "oracle": ["--data", "x.csv", "--new", "y.csv"],
+    }
+
+    @staticmethod
+    def options(command):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return [flag for a in sub.choices[command]._actions if a.dest != "help"
+                for flag in a.option_strings]
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_each_subcommand_takes_the_flags_it_reads(self, command):
+        options = self.options(command)
+        assert options == self.OPTIONS[command].split()
+        fields, seeded = cli._READS[command]
+        hyper = [field for flag, (field, _) in cli._HYPER_FLAGS.items() if flag in options]
+        assert sorted(hyper) == sorted(fields) and ("--seed" in options) == seeded
+
+    def test_seventy_options(self):
+        assert set(self.OPTIONS) == set(cli._READS)
+        assert sum(len(self.options(command)) for command in self.OPTIONS) == 70
+        assert len(self.REMOVED) == 24
+
+    @pytest.mark.parametrize("command, flag", REMOVED)
+    def test_removed_flag_is_exit_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.REQUIRED[command], flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     def test_no_subcommand_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

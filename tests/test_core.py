@@ -12,6 +12,7 @@ import time
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -252,6 +253,11 @@ class TestHyperparameters:
             {"c_w": 1.0},
             {"c_y": 0.0},
             {"max_cycles": 2.5},
+            # A bool or a string is not a number here, as in a loaded state;
+            # True would pass kappa > 0 and max_cycles >= 1.
+            {"max_cycles": True},
+            {"kappa": True},
+            {"eps": "1e-6"},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -268,7 +274,15 @@ class TestHyperparameters:
             Hyperparameters(**{field: value})
 
     def test_numpy_integer_max_cycles_allowed(self):
-        assert Hyperparameters(max_cycles=np.int64(3)).max_cycles == 3
+        h = Hyperparameters(max_cycles=np.int64(3))
+        assert h.max_cycles == 3 and type(h.max_cycles) is int
+
+    def test_stores_plain_floats(self):
+        # numpy scalars and ints become Python floats, which JSON can write.
+        h = Hyperparameters(a_y=np.float64(2.0), b_y=0, kappa=np.float32(0.002))
+        assert h.a_y == 2.0 and h.b_y == 0.0 and h.kappa == float(np.float32(0.002))
+        assert all(type(getattr(h, name)) is float for name in
+                   ("a_y", "b_y", "a_gamma", "r", "kappa", "c_w", "c_y", "eps"))
 
     def test_zero_label_pseudocounts_allowed(self):
         h = Hyperparameters(a_y=0.0, b_y=0.0)
@@ -657,6 +671,16 @@ class TestXi:
     def test_scalar_domain_errors(self, x):
         with pytest.raises(DomainError, match="xi requires x > 0"):
             xi(x)
+
+    def test_series_matches_mpmath_above_cutoff(self):
+        # Through the x^-11 term, the series is within a few ulp where it
+        # takes over from the direct route; with two fewer terms it was off
+        # by 8.2e-13 at x = 10.
+        with mpmath.workdps(40):
+            for x in np.linspace(10.0, 20.0, 201):
+                m = mpmath.mpf(float(x))
+                exact = mpmath.loggamma(m) + m - m * mpmath.log(m) - mpmath.log(2 * mpmath.pi) / 2
+                assert abs(xi(x) - float(exact)) <= 2e-15, x
 
     def test_series_matches_gammaln_at_crossover(self):
         # Series route (x >= 10) and direct route must agree where they meet.

@@ -382,6 +382,22 @@ class TestStatePersistence:
         save_state(load_state(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_numpy_scalar_hyperparameters_round_trip(self, tmp_path):
+        # numpy scalars are stored as Python numbers, so the state JSON can
+        # hold them, and the state loads back to an equal fit.
+        d = make_balanced(30, 5, seed=1, shift=2.0, k=2)
+        h = Hyperparameters(kappa=np.float32(0.002), a_y=np.float64(2.0), b_y=np.int64(1),
+                            max_cycles=np.int64(50))
+        f = fit_vlda(d, h)
+        p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
+        save_state(f, p1)
+        back = load_state(p1)
+        assert back.hyper == f.hyper == Hyperparameters(kappa=float(np.float32(0.002)),
+                                                        a_y=2.0, b_y=1.0, max_cycles=50)
+        np.testing.assert_array_equal(back.w, f.w)
+        save_state(back, p2)
+        assert p2.read_bytes() == p1.read_bytes()
+
     def test_exact_zero_and_one_entries_load(self, fitted, tmp_path):
         # Entries of w equal to 0 or 1, as floats or integers, are numbers,
         # not the bools a hand-edited state may hold; they load and resave.
