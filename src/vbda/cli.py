@@ -4,7 +4,7 @@ Each subcommand takes only the flags its code reads, as the table
 ``_READS`` states: fit takes all nine hyperparameters, because they go into
 the fit state that predict and select_variables read, while fit, predict
 and oracle draw nothing and take no --seed.  Any other flag is a usage
-error.
+error, as are predict's --eps and --max-cycles without --coupled.
 
 Every successful run writes its data files plus a metadata.json (its
 flags, its seed or null, package version, wall-clock timing) into
@@ -349,6 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "predict" and not args.coupled:
+        for flag, value in (("--eps", args.eps), ("--max-cycles", args.max_cycles)):
+            if value is not None:  # read only by the coupled label updates
+                parser.error(f"{flag} applies only with --coupled")
     try:
         t0 = time.perf_counter()
         rc = args.func(args)

@@ -3,10 +3,11 @@
 CSV files carry a mandatory header row and an optional 0/1 label column.
 A cell is accepted exactly when it is ASCII text with no underscore and
 Python ``float()`` parses it (features must also be finite), so a mistyped
-``1_0`` is an error, not ten.  The body below the header is parsed in one
-numpy pass; a file that pass cannot take exactly, or that has a bad cell, is
-parsed again by the row-by-row fallback, which is exact and names the
-offending row and column (header is row 1).
+``1_0`` is an error, not ten.  The body is read line by line from the open
+file into one numpy pass; a file that pass cannot take exactly, or that has a
+bad cell, is read again by the row-by-row fallback, which is exact and names
+the offending row and column (header is row 1).  A stream that cannot seek
+goes to the fallback at once.
 
 Fit states persist as schema-versioned JSON with full float precision
 (repr round-trip), so save -> load -> save is byte-identical.  A state is
@@ -19,7 +20,7 @@ built in memory and written in one call.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 from contextlib import contextmanager
 
@@ -68,15 +69,17 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     label column by name.  Errors name the offending row and column.
 
     A cell is accepted exactly when it is ASCII text with no underscore and
-    Python ``float()`` parses it.  A body of such text is parsed in one
-    ``np.loadtxt`` pass, which rounds each cell as ``float()`` does and
-    accepts a subset of what it accepts (that subset holds non-ASCII text
-    such as a no-break space, so no other body reaches it).  Whenever that pass
-    fails or its result is not exactly the rows, width, finite values and 0/1
-    labels the file must have, the body is parsed again row by row with
-    ``csv.reader`` and ``float()``; that exact fallback accepts what only
-    ``float()`` accepts and names the first bad cell.  The file must be UTF-8
-    text; a UTF-8 byte-order mark before the header is ignored.
+    Python ``float()`` parses it.  A file that can seek has its body parsed
+    in one ``np.loadtxt`` pass over its lines, which rounds each cell as
+    ``float()`` does and accepts a subset of what it accepts (that subset
+    holds non-ASCII text such as a no-break space, so no other body reaches
+    it).  Whenever that pass fails or its result is not exactly the rows,
+    width, finite values and 0/1 labels the file must have, and at once for a
+    stream that cannot seek, such as a pipe, the body below the header is
+    parsed row by row with ``csv.reader`` and ``float()``; that exact fallback
+    accepts what only ``float()`` accepts and names the first bad cell.  The
+    file must be UTF-8 text, decoded as it is parsed, so a bad cell is named
+    before a non-UTF-8 byte further on; a UTF-8 byte-order mark is ignored.
     """
     with _read_utf8(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -92,11 +95,15 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 f"{path}: label column {label_column!r} not found in header"
             )
         label_idx = header.index(label_column) if label_column is not None else None
-        body = fh.read()
-
-    X = _parse_body(body, len(header), label_idx)
-    if X is None:
-        X = _parse_rows(path, header, label_idx, body)
+        X = None
+        if fh.seekable():
+            X = _parse_body(fh, len(header), label_idx)
+            if X is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)  # the header, read again
+        if X is None:
+            X = _parse_rows(path, header, label_idx, reader)
     columns = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not columns:
         raise DataValidationError(f"{path}: no feature columns besides the label")
@@ -106,28 +113,28 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     return Dataset(np.delete(X, label_idx, axis=1), y, columns=columns)
 
 
-def _parse_body(body: str, width: int, label_idx) -> np.ndarray | None:
-    """The whole body in one ``np.loadtxt`` pass, or None unless the body is
-    ASCII with no underscore and that pass gives one row of ``width`` finite
-    values, with a 0/1 label, per line.
-
-    The lines reach ``loadtxt`` one at a time, so no list of them is held
-    beside the body.  A blank line is refused by a first pass, before
-    ``loadtxt``, which would skip it (and warn if no line were left); a bare
-    CR within a line makes ``loadtxt`` raise.  Either way the file goes to the
-    row-by-row fallback."""
-    if not _plain(body):
+def _parse_body(fh, width: int, label_idx) -> np.ndarray | None:
+    """The rest of ``fh``, one line at a time, in one ``np.loadtxt`` pass, or
+    None unless every line is ASCII with no underscore and not blank (which
+    ``loadtxt`` would skip), and the pass gives one row of ``width`` finite
+    values, with a 0/1 label, per line.  ``loadtxt`` passes on the
+    ``ValueError`` that ``lines`` raises for a line, and a non-UTF-8 byte's
+    ``UnicodeDecodeError``; it would warn on an empty body, so that is
+    refused first."""
+    first = fh.readline()
+    if not first:
         return None
     count = 0
-    for line in _lines(body):
-        if not line or line.isspace():
-            return None
-        count += 1
-    if not count:
-        return None
+
+    def lines():
+        nonlocal count
+        for count, line in enumerate(itertools.chain((first,), fh), start=1):
+            if not _plain(line) or line.isspace():
+                raise ValueError("a line for the row-by-row fallback")
+            yield line
+
     try:
-        X = np.loadtxt(_lines(body), delimiter=",", comments=None, ndmin=2,
-                       dtype=np.float64)
+        X = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
     if X.shape != (count, width) or not _all_finite(X):
@@ -143,27 +150,13 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _lines(body: str):
-    """The lines of ``body``, split at LF alone, one at a time: the pieces of
-    ``body.split(LF)`` without the empty piece after a final LF."""
-    start = 0
-    while start < len(body):
-        stop = body.find("\n", start)
-        if stop < 0:
-            stop = len(body)
-        yield body[start:stop]
-        start = stop + 1
-
-
-def _parse_rows(path, header, label_idx, body: str) -> np.ndarray:
-    """The exact fallback: each ``csv.reader`` row of the body is converted
-    with one numpy cast, which calls ``float()`` per cell; a row with a
-    non-ASCII character or an underscore, or that the cast or the finite/label
-    checks reject, is rescanned cell by cell to name its first bad cell
-    (header is row 1)."""
+def _parse_rows(path, header, label_idx, reader) -> np.ndarray:
+    """The exact fallback: each row ``reader`` gives below the header is
+    converted with one numpy cast, which calls ``float()`` per cell; a row
+    with a non-ASCII character or an underscore, or that the cast or the
+    finite/label checks reject, is rescanned cell by cell to name its first
+    bad cell (header is row 1)."""
     rows: list[np.ndarray] = []
-    # newline="" keeps a bare CR a line ending for csv.reader.
-    reader = csv.reader(io.StringIO(body, newline=""))
     for row_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise DataValidationError(

@@ -200,6 +200,16 @@ class TestPredict:
                    "--out-dir", str(tmp_path / "p3")])
         assert rc == 0
 
+    def test_coupled_takes_eps_and_max_cycles(self, fitted_dir, tmp_path):
+        out, _, d = fitted_dir
+        newfile = tmp_path / "new.csv"
+        save_csv(Dataset(d.X[:3]), newfile)
+        rc = main(["predict", "--state", str(out / "fit_state.json"),
+                   "--data", str(newfile), "--coupled", "--eps", "0.5", "--max-cycles", "1",
+                   "--out-dir", str(tmp_path / "p7")])
+        assert rc == 0
+        assert read_json(tmp_path / "p7" / "metadata.json")["config"]["max_cycles"] == 1
+
     def test_mismatched_columns_exit_3(self, fitted_dir, tmp_path, capsys):
         out, _, d = fitted_dir
         wrong = Dataset(d.X[:2], columns=("u1", "u2", "u3", "u4"))
@@ -510,6 +520,15 @@ class TestUsage:
         assert set(self.OPTIONS) == set(cli._READS)
         assert sum(len(self.options(command)) for command in self.OPTIONS) == 70
         assert len(self.REMOVED) == 24
+
+    @pytest.mark.parametrize("flag", ["--eps", "--max-cycles"])
+    def test_predict_flag_without_coupled_is_exit_2(self, capsys, flag):
+        # Only the coupled label updates read these; without --coupled they
+        # would change nothing.
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", *self.REQUIRED["predict"], flag, "1"])
+        assert exc.value.code == 2
+        assert f"{flag} applies only with --coupled" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", REMOVED)
     def test_removed_flag_is_exit_2(self, capsys, command, flag):
