@@ -406,10 +406,22 @@ def _moments(X: np.ndarray, cells) -> tuple[list, tuple[list, list]]:
                 # reused rather than fresh pages faulted in for every tile.
                 del tile, rows_in
             if not all(np.isfinite(Q.max()) for _, _, Q in groups[g]):  # max propagates NaN
-                if all(np.isfinite(tile).all() for _, _, tile in _tiles(X, rows)):
-                    raise DataValidationError("training data contain values too large to square")
-                raise DataValidationError("training data contain non-finite values")
+                _refuse(X, rows, "training data", "square")
     return centers, groups
+
+
+def _refuse(X: np.ndarray, rows, what: str, verb: str):
+    """Raise for X, or X[rows], after a pass over it gave a result that is
+    not finite: walk its ``_tiles`` once more, so with no copy of X[rows],
+    and say "non-finite values" if a value of it is not finite, and "values
+    too large to ``verb``" otherwise.  ``_moments`` and ``_score`` find a bad
+    value from their results, at no cost to the common case, and only then
+    call this to tell the two apart."""
+    for _, _, tile in _tiles(X, rows):
+        if not np.isfinite(tile).all():
+            raise DataValidationError(f"{what} contain non-finite values")
+        del tile  # a gathered tile is freed before the next gather
+    raise DataValidationError(f"{what} contain values too large to {verb}")
 
 
 # Variances below this are raised to it, so every log of a variance is finite.

@@ -7,7 +7,8 @@ Python ``float()`` parses it (features must also be finite), so a mistyped
 file into one numpy pass; a file that pass cannot take exactly, or that has a
 bad cell, is read again by the row-by-row fallback, which is exact and names
 the offending row and column (header is row 1).  A stream that cannot seek
-goes to the fallback at once.
+keeps the lines the numpy pass reads, for the fallback to read again.  A
+label column is dropped inside the parsed matrix.
 
 Fit states persist as schema-versioned JSON with full float precision
 (repr round-trip), so save -> load -> save is byte-identical.  A state is
@@ -27,6 +28,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .core import (
+    _BLOCK,
     DataValidationError,
     Dataset,
     Hyperparameters,
@@ -73,13 +75,18 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     in one ``np.loadtxt`` pass over its lines, which rounds each cell as
     ``float()`` does and accepts a subset of what it accepts (that subset
     holds non-ASCII text such as a no-break space, so no other body reaches
-    it).  Whenever that pass fails or its result is not exactly the rows,
-    width, finite values and 0/1 labels the file must have, and at once for a
-    stream that cannot seek, such as a pipe, the body below the header is
-    parsed row by row with ``csv.reader`` and ``float()``; that exact fallback
-    accepts what only ``float()`` accepts and names the first bad cell.  The
-    file must be UTF-8 text, decoded as it is parsed, so a bad cell is named
-    before a non-UTF-8 byte further on; a UTF-8 byte-order mark is ignored.
+    it).  A stream that cannot seek, such as a pipe, takes the same pass,
+    and the lines it reads are kept.  Whenever that pass fails or its result
+    is not exactly the rows, width, finite values and 0/1 labels the file
+    must have, the body below the header is parsed row by row with
+    ``csv.reader`` and ``float()``, from the file read again after a seek or
+    from the kept lines followed by the rest of the stream; that exact
+    fallback accepts what only ``float()`` accepts and names the first bad
+    cell.  The file must be UTF-8 text, decoded as it is parsed, so a bad
+    cell is named before a non-UTF-8 byte further on, from a file or a pipe;
+    a UTF-8 byte-order mark is ignored.  The label column is taken out as
+    ``y`` and the features are moved left over it within the parsed matrix,
+    so no second copy of the matrix is made.
     """
     with _read_utf8(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -95,14 +102,15 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 f"{path}: label column {label_column!r} not found in header"
             )
         label_idx = header.index(label_column) if label_column is not None else None
-        X = None
-        if fh.seekable():
-            X = _parse_body(fh, len(header), label_idx)
-            if X is None:
+        body = fh if fh.seekable() else _Kept(fh)
+        X = _parse_body(body, len(header), label_idx)
+        if X is None:
+            if body is fh:
                 fh.seek(0)
                 reader = csv.reader(fh)
                 next(reader)  # the header, read again
-        if X is None:
+            else:
+                reader = csv.reader(body.replay())
             X = _parse_rows(path, header, label_idx, reader)
     columns = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not columns:
@@ -110,25 +118,67 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     if label_idx is None:
         return Dataset(X, columns=columns)
     y = X[:, label_idx].astype(int)
-    return Dataset(np.delete(X, label_idx, axis=1), y, columns=columns)
+    return Dataset(_drop_column(X, label_idx), y, columns=columns)
 
 
-def _parse_body(fh, width: int, label_idx) -> np.ndarray | None:
-    """The rest of ``fh``, one line at a time, in one ``np.loadtxt`` pass, or
+class _Kept:
+    """The body of a stream that cannot seek, kept as it is read so that the
+    fallback can read it again: iterating yields the stream's lines and keeps
+    each, and ``replay()`` yields the kept lines and then the rest of the
+    stream.  A non-UTF-8 byte's ``UnicodeDecodeError`` is kept too, and
+    raised again where the replay reaches it, since the stream cannot decode
+    past it."""
+
+    def __init__(self, fh):
+        self.fh, self.lines, self.error = fh, [], None
+
+    def __iter__(self):
+        try:
+            for line in self.fh:
+                self.lines.append(line)
+                yield line
+        except UnicodeDecodeError as exc:
+            self.error = exc
+            raise
+
+    def replay(self):
+        yield from self.lines
+        if self.error is not None:
+            raise self.error
+        yield from self.fh
+
+
+def _drop_column(X: np.ndarray, j: int) -> np.ndarray:
+    """X without column j, in the front of X's own buffer: each block of
+    rows is moved by one ``np.take``, which with ``mode="raise"`` buffers its
+    output, and each block's destination ends before the next block's rows,
+    so no second copy of X is made."""
+    n, p = X.shape
+    keep = np.delete(np.arange(p), j)
+    out = X.reshape(-1)[: n * (p - 1)].reshape(n, p - 1)
+    step = max(1, _BLOCK // p)
+    for top in range(0, n, step):
+        np.take(X[top:top + step], keep, axis=1, out=out[top:top + step], mode="raise")
+    return out
+
+
+def _parse_body(body, width: int, label_idx) -> np.ndarray | None:
+    """The lines ``body`` gives, one at a time, in one ``np.loadtxt`` pass, or
     None unless every line is ASCII with no underscore and not blank (which
     ``loadtxt`` would skip), and the pass gives one row of ``width`` finite
     values, with a 0/1 label, per line.  ``loadtxt`` passes on the
     ``ValueError`` that ``lines`` raises for a line, and a non-UTF-8 byte's
     ``UnicodeDecodeError``; it would warn on an empty body, so that is
     refused first."""
-    first = fh.readline()
+    body = iter(body)
+    first = next(body, "")
     if not first:
         return None
     count = 0
 
     def lines():
         nonlocal count
-        for count, line in enumerate(itertools.chain((first,), fh), start=1):
+        for count, line in enumerate(itertools.chain((first,), body), start=1):
             if not _plain(line) or line.isspace():
                 raise ValueError("a line for the row-by-row fallback")
             yield line

@@ -33,7 +33,10 @@ cross-validation alike: it takes the per-variable coefficients once from
 the fit and makes one pass over the new rows' cache-sized tiles
 (``core._tiles``, shared with the statistics), centring each tile at the
 group midpoint in place, so scoring m new rows never allocates an m-by-p
-array and a held-out row of cross-validation is copied once.
+array and a held-out row of cross-validation is copied once.  No tile is
+checked for non-finite values: a bad value leaves its row's discriminant
+non-finite, and one check of the finished discriminants finds it, after
+which the rows are walked once more to name the fault.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .core import (
     Hyperparameters,
     VariableStats,
     _first_duplicate,
+    _refuse,
     _tiles,
     compute_stats,
     expit,
@@ -293,10 +297,15 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
 
     which keeps its accuracy at any column offset.  The rows are one pass
     over ``core._tiles``, the walker the statistics use too, so tall inputs
-    are split by rows as well.  Each tile is checked for non-finite values,
-    centred in place and its matvec added into its rows' scores; for the
-    quadratic rule it is then squared in place for the second matvec.  A
-    row whose products overflow is rejected, as training rejects it.
+    are split by rows as well.  Each tile is only copied, centred in place
+    and its matvec added into its rows' scores; for the quadratic rule it is
+    then squared in place for the second matvec.  Bad rows are found from
+    the complete discriminants, with no check per tile: a NaN or an
+    infinity makes its row's discriminant NaN or infinite whatever its
+    coefficient (NaN * 0 = inf * 0 = NaN, inf - inf = NaN), and so does a
+    finite cell whose products overflow.  Only then are the rows walked once
+    more (``core._refuse``) to say which it was; both are rejected, as
+    training rejects them.
 
     ``x_new`` is a Dataset or array-like; its shape is checked at once, and
     a named Dataset must hold a named fit's columns in the fit's order.
@@ -329,13 +338,12 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
         linear, quadratic = w * diff / s.var_pooled, None
     m = X.shape[0] if rows is None else len(rows)
     disc = np.zeros(m)
-    # A finite cell can overflow a product: above about 1e154 when the
-    # quadratic rule squares it, near the float maximum in any rule.  The
+    # A NaN or an infinity, or a finite cell that overflows a product (above
+    # about 1e154 when the quadratic rule squares it, near the float maximum
+    # in any rule), leaves its row's discriminant NaN or infinite.  The
     # discriminants are checked once when complete, not every tile.
     with np.errstate(over="ignore", invalid="ignore"):
         for part, cols, xc in _tiles(X, rows):
-            if not np.isfinite(xc).all():
-                raise DataValidationError("new observations contain non-finite values")
             xc -= center[cols]
             disc[part] += xc @ linear[cols]
             if quadratic is not None:
@@ -345,11 +353,8 @@ def _score(f: FitState, x_new, h: Hyperparameters | None, rule: str, rows=None) 
             disc += 0.25 * diff**2 @ quadratic - 0.5 * (w @ np.log(s.var1 / s.var0))
         else:
             disc *= 1.0 + 1.0 / s.n
-    # A comparison, not np.isfinite, so np.isfinite stays one call per tile;
-    # NaN fails it as inf does.
-    if not (np.abs(disc) <= np.finfo(np.float64).max).all():
-        what = "square" if quadratic is not None else "score"
-        raise DataValidationError(f"new observations contain values too large to {what}")
+    if not np.isfinite(disc).all():
+        _refuse(X, rows, "new observations", "square" if quadratic is not None else "score")
 
     if rule == "vqda":
         g1 = math.lgamma((s.n1 + 1) / 2.0) - math.lgamma(s.n1 / 2.0)

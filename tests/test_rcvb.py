@@ -1,6 +1,7 @@
 """Selection-probability updates and the three prediction rules."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -548,14 +549,17 @@ class TestPredictDispatcher:
             predict(f, x[:, ::-1], coupled=coupled).y_tilde)
 
 
-def _wide_fit(offset: float, model: str = "vlda"):
+def _wide_fit(offset: float, model: str = "vlda", constant: int | None = None):
     """60 x 500 training rows at a common column offset, with mean signal in
-    columns 0-19 and variance signal in 20-39, and 40 new rows."""
+    columns 0-19 and variance signal in 20-39, and 40 new rows.  Training
+    column ``constant``, if given, holds only the offset."""
     rng = np.random.default_rng(21)
     y = np.repeat([0, 1], 30)
     X = offset + rng.standard_normal((60, 500))
     X[y == 1, :20] += 1.0
     X[y == 0, 20:40] *= 3.0
+    if constant is not None:
+        X[:, constant] = offset
     fit = fit_vlda if model == "vlda" else fit_vqda
     return fit(Dataset(X, y)), offset + rng.standard_normal((40, 500))
 
@@ -576,18 +580,18 @@ class TestBlockedScorer:
     elements; shrinking the tiles must not change what it computes."""
 
     def test_small_block_splits_into_tiles(self, monkeypatch):
-        # Each tile is checked once for non-finite values: 40 x 500 new rows
-        # make 3 row blocks by 32 column blocks under SMALL_BLOCK, and one
-        # tile at the default block.
+        # The scorer reads 40 x 500 new rows as one tile at the default block,
+        # and as 3 row blocks by 32 column blocks under SMALL_BLOCK.
         f, x = _wide_fit(0.0)
         calls = []
-        isfinite = np.isfinite
+        tiles = core._tiles
 
-        def counting_isfinite(tile):
-            calls.append(tile.shape)
-            return isfinite(tile)
+        def recording_tiles(X, rows=None):
+            for part, cols, tile in tiles(X, rows):
+                calls.append(tile.shape)
+                yield part, cols, tile
 
-        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        monkeypatch.setattr(rcvb, "_tiles", recording_tiles)
         predict_vlda(f, x)
         assert calls == [(40, 500)]
         calls.clear()
@@ -686,6 +690,54 @@ class TestBlockedScorer:
         x[-1, -1] = np.nan
         with pytest.raises(DataValidationError, match="new observations contain non-finite values"):
             predict(f, d)
+
+    @pytest.mark.parametrize("block", [core._BLOCK, SMALL_BLOCK])
+    @pytest.mark.parametrize("kind", ["array", "dataset"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rule", [predict_vlda, predict_vqda, predict_coupled_vlda])
+    def test_non_finite_rejected_where_coefficients_are_zero(self, rule, bad, kind, block,
+                                                             monkeypatch):
+        # Training column 7 is constant, so its group means and (floored)
+        # variances are equal and both its scoring coefficients are exactly
+        # 0.  A bad cell there still makes its row's discriminant NaN
+        # (NaN * 0 = inf * 0 = NaN), and the scorer must refuse it.  The
+        # Dataset is built before its caller's array is written.
+        monkeypatch.setattr(core, "_BLOCK", block)
+        f, x = _wide_fit(0.0, "vqda" if rule is predict_vqda else "vlda", constant=7)
+        s = f.stats
+        assert s.mu1_hat[7] == s.mu0_hat[7] and s.var1[7] == s.var0[7] == s.var_pooled[7]
+        x_new = x if kind == "array" else Dataset(x)
+        x[5, 7] = bad
+        with pytest.raises(DataValidationError,
+                           match="^new observations contain non-finite values$"):
+            rule(f, x_new)
+
+    @pytest.mark.parametrize("rows", [None, "all"], ids=["contiguous", "picked"])
+    @pytest.mark.parametrize("model, big, message", [
+        ("vlda", np.nan, "non-finite values"),
+        ("vqda", -np.inf, "non-finite values"),
+        ("vqda", 1e160, "values too large to square"),
+    ], ids=["vlda_nan", "vqda_inf", "vqda_too_large"])
+    def test_rescan_holds_no_copy_of_the_rows(self, model, big, message, rows):
+        # A refused input is walked a second time to name its fault, tile by
+        # tile, for picked rows (as cross-validation scores them) too, so the
+        # scorer's peak stays below even a bool mask of the rows: 2 MB here,
+        # for 16 MB of rows read in tiles of 512 KB.
+        rng = np.random.default_rng(5)
+        y = np.repeat([0, 1], 10)
+        f = (fit_vlda if model == "vlda" else fit_vqda)(
+            Dataset(rng.standard_normal((20, 5000)), y))
+        x = rng.standard_normal((400, 5000))
+        x[-1, -1] = big
+        picked = None if rows is None else np.arange(len(x))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataValidationError, match=f"^new observations contain {message}$"):
+                rcvb._score(f, x, None, model, rows=picked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 16
 
     @pytest.mark.parametrize("model, coupled", [("vlda", False), ("vqda", False), ("vlda", True)])
     def test_dataset_and_array_score_alike(self, model, coupled, monkeypatch):
