@@ -3,12 +3,11 @@
 CSV files carry a mandatory header row and an optional 0/1 label column.
 A cell is accepted exactly when it is ASCII text with no underscore and
 Python ``float()`` parses it (features must also be finite), so a mistyped
-``1_0`` is an error, not ten.  The body is read line by line from the open
-file into one numpy pass; a file that pass cannot take exactly, or that has a
-bad cell, is read again by the row-by-row fallback, which is exact and names
-the offending row and column (header is row 1).  A stream that cannot seek
-keeps the lines the numpy pass reads, for the fallback to read again.  A
-label column is dropped inside the parsed matrix.
+``1_0`` is an error, not ten.  The body is read once, from a file or a pipe
+alike, in chunks of lines, each parsed by one numpy call; from the first
+chunk that call cannot take exactly, or that has a bad cell, the rest is
+parsed by the row-by-row fallback, which is exact and names the offending
+row and column (header is row 1).
 
 Fit states persist as schema-versioned JSON with full float precision
 (repr round-trip), so save -> load -> save is byte-identical.  A state is
@@ -71,22 +70,19 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     label column by name.  Errors name the offending row and column.
 
     A cell is accepted exactly when it is ASCII text with no underscore and
-    Python ``float()`` parses it.  A file that can seek has its body parsed
-    in one ``np.loadtxt`` pass over its lines, which rounds each cell as
-    ``float()`` does and accepts a subset of what it accepts (that subset
-    holds non-ASCII text such as a no-break space, so no other body reaches
-    it).  A stream that cannot seek, such as a pipe, takes the same pass,
-    and the lines it reads are kept.  Whenever that pass fails or its result
-    is not exactly the rows, width, finite values and 0/1 labels the file
-    must have, the body below the header is parsed row by row with
-    ``csv.reader`` and ``float()``, from the file read again after a seek or
-    from the kept lines followed by the rest of the stream; that exact
-    fallback accepts what only ``float()`` accepts and names the first bad
-    cell.  The file must be UTF-8 text, decoded as it is parsed, so a bad
-    cell is named before a non-UTF-8 byte further on, from a file or a pipe;
-    a UTF-8 byte-order mark is ignored.  The label column is taken out as
-    ``y`` and the features are moved left over it within the parsed matrix,
-    so no second copy of the matrix is made.
+    Python ``float()`` parses it.  The body below the header is read once, in
+    chunks of lines of about ``_BLOCK`` characters, the same way from a file
+    and from a pipe.  Each chunk is parsed by one ``np.loadtxt`` call, which
+    rounds each cell as ``float()`` does and accepts a subset of what it
+    accepts (that subset holds non-ASCII text such as a no-break space, so no
+    other chunk reaches it), and its rows, less the label column, are added
+    to one matrix grown in place.  The first chunk that is not exactly the
+    rows, width, finite values and 0/1 labels it must hold is parsed, with
+    every line after it, row by row with ``csv.reader`` and ``float()``; that
+    exact fallback accepts what only ``float()`` accepts and names the first
+    bad cell.  The file must be UTF-8 text, decoded as it is parsed, so a bad
+    cell is named before a non-UTF-8 byte further on; a UTF-8 byte-order mark
+    is ignored.
     """
     with _read_utf8(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -94,6 +90,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataValidationError(f"{path}: empty file, expected a header row") from None
+        if not header:
+            raise DataValidationError(f"{path}: empty header row, expected column names")
         dup = _first_duplicate(header)
         if dup is not None:
             raise DataValidationError(f"{path}: duplicate header name {dup!r}")
@@ -102,92 +100,63 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 f"{path}: label column {label_column!r} not found in header"
             )
         label_idx = header.index(label_column) if label_column is not None else None
-        body = fh if fh.seekable() else _Kept(fh)
-        X = _parse_body(body, len(header), label_idx)
-        if X is None:
-            if body is fh:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)  # the header, read again
+        X, labels = np.empty((0, len(header) - (label_idx is not None))), []
+        chunks = _chunks(fh)
+        for lines in chunks:
+            rows = _parse_body(lines, len(header), label_idx)
+            if rows is None:
+                rest = itertools.chain(lines, itertools.chain.from_iterable(chunks))
+                rows = _parse_rows(path, header, label_idx, csv.reader(rest), len(X) + 2)
+            top = len(X)
+            X.resize((top + len(rows), X.shape[1]), refcheck=False)
+            if label_idx is None:
+                X[top:] = rows
             else:
-                reader = csv.reader(body.replay())
-            X = _parse_rows(path, header, label_idx, reader)
+                X[top:, :label_idx] = rows[:, :label_idx]
+                X[top:, label_idx:] = rows[:, label_idx + 1:]
+                labels.append(rows[:, label_idx].astype(np.int8))
+    if not len(X):
+        raise DataValidationError(f"{path}: no data rows below the header")
     columns = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not columns:
         raise DataValidationError(f"{path}: no feature columns besides the label")
     if label_idx is None:
         return Dataset(X, columns=columns)
-    y = X[:, label_idx].astype(int)
-    return Dataset(_drop_column(X, label_idx), y, columns=columns)
+    return Dataset(X, np.concatenate(labels), columns=columns)
 
 
-class _Kept:
-    """The body of a stream that cannot seek, kept as it is read so that the
-    fallback can read it again: iterating yields the stream's lines and keeps
-    each, and ``replay()`` yields the kept lines and then the rest of the
-    stream.  A non-UTF-8 byte's ``UnicodeDecodeError`` is kept too, and
-    raised again where the replay reaches it, since the stream cannot decode
-    past it."""
-
-    def __init__(self, fh):
-        self.fh, self.lines, self.error = fh, [], None
-
-    def __iter__(self):
-        try:
-            for line in self.fh:
-                self.lines.append(line)
-                yield line
-        except UnicodeDecodeError as exc:
-            self.error = exc
-            raise
-
-    def replay(self):
-        yield from self.lines
-        if self.error is not None:
-            raise self.error
-        yield from self.fh
-
-
-def _drop_column(X: np.ndarray, j: int) -> np.ndarray:
-    """X without column j, in the front of X's own buffer: each block of
-    rows is moved by one ``np.take``, which with ``mode="raise"`` buffers its
-    output, and each block's destination ends before the next block's rows,
-    so no second copy of X is made."""
-    n, p = X.shape
-    keep = np.delete(np.arange(p), j)
-    out = X.reshape(-1)[: n * (p - 1)].reshape(n, p - 1)
-    step = max(1, _BLOCK // p)
-    for top in range(0, n, step):
-        np.take(X[top:top + step], keep, axis=1, out=out[top:top + step], mode="raise")
-    return out
-
-
-def _parse_body(body, width: int, label_idx) -> np.ndarray | None:
-    """The lines ``body`` gives, one at a time, in one ``np.loadtxt`` pass, or
-    None unless every line is ASCII with no underscore and not blank (which
-    ``loadtxt`` would skip), and the pass gives one row of ``width`` finite
-    values, with a 0/1 label, per line.  ``loadtxt`` passes on the
-    ``ValueError`` that ``lines`` raises for a line, and a non-UTF-8 byte's
-    ``UnicodeDecodeError``; it would warn on an empty body, so that is
-    refused first."""
-    body = iter(body)
-    first = next(body, "")
-    if not first:
-        return None
-    count = 0
-
-    def lines():
-        nonlocal count
-        for count, line in enumerate(itertools.chain((first,), body), start=1):
-            if not _plain(line) or line.isspace():
-                raise ValueError("a line for the row-by-row fallback")
-            yield line
-
+def _chunks(fh):
+    """The lines of ``fh`` in lists of about ``_BLOCK`` characters, each of at
+    least one line.  If a non-UTF-8 byte stops the stream, the lines read
+    before it are yielded first, and then its ``UnicodeDecodeError`` raised."""
+    lines, size = [], 0
     try:
-        X = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        for line in fh:
+            lines.append(line)
+            size += len(line)
+            if size >= _BLOCK:
+                yield lines
+                lines, size = [], 0
+    except UnicodeDecodeError:
+        if lines:
+            yield lines
+        raise
+    if lines:
+        yield lines
+
+
+def _parse_body(lines, width: int, label_idx) -> np.ndarray | None:
+    """The rows of ``lines`` from one ``np.loadtxt`` call, or None unless
+    every line is ASCII with no underscore and not blank (which ``loadtxt``
+    would skip), and the call gives one row of ``width`` finite values, with
+    a 0/1 label, per line."""
+    if not _plain("".join(lines)) or any(map(str.isspace, lines)):
+        return None
+    try:
+        X = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
-    if X.shape != (count, width) or not _all_finite(X):
+    if X.shape != (len(lines), width) or not _all_finite(X):
         return None
     if label_idx is not None and not np.isin(X[:, label_idx], (0.0, 1.0)).all():
         return None
@@ -200,14 +169,15 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _parse_rows(path, header, label_idx, reader) -> np.ndarray:
-    """The exact fallback: each row ``reader`` gives below the header is
-    converted with one numpy cast, which calls ``float()`` per cell; a row
-    with a non-ASCII character or an underscore, or that the cast or the
-    finite/label checks reject, is rescanned cell by cell to name its first
-    bad cell (header is row 1)."""
+def _parse_rows(path, header, label_idx, reader, first_row: int) -> np.ndarray:
+    """The exact fallback: each row ``reader`` gives, numbered from
+    ``first_row`` (header is row 1), is converted with one numpy cast, which
+    calls ``float()`` per cell; a row with a non-ASCII character or an
+    underscore, or that the cast or the finite/label checks reject, is
+    rescanned cell by cell to name its first bad cell.  ``reader`` gives at
+    least one row."""
     rows: list[np.ndarray] = []
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(reader, start=first_row):
         if len(row) != len(header):
             raise DataValidationError(
                 f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
@@ -223,8 +193,6 @@ def _parse_rows(path, header, label_idx, reader) -> np.ndarray:
         ):
             values = np.array(_scan_row(path, header, row_no, row, label_idx))
         rows.append(values)
-    if not rows:
-        raise DataValidationError(f"{path}: no data rows below the header")
     return np.stack(rows)
 
 

@@ -1,10 +1,12 @@
 """CSV parsing and errors, fit-state persistence, report rows."""
 
 import csv
+import io
 import json
 import math
 import os
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -40,14 +42,32 @@ def write(path, text):
 
 def load_piped(data, label_column=None):
     """``load_csv`` of ``data`` (text or bytes) read from a pipe, as
-    ``/dev/fd/N``; the data must fit in the pipe's buffer (64 KB)."""
+    ``/dev/fd/N``.  A thread writes the data, so it may be larger than the
+    pipe's buffer (64 KB); it stops when ``load_csv`` stops reading."""
+    data = data.encode("utf-8") if isinstance(data, str) else data
     read_fd, write_fd = os.pipe()
-    with os.fdopen(write_fd, "wb") as out:
-        out.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+    def feed():
+        try:
+            with os.fdopen(write_fd, "wb") as out:
+                out.write(data)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
     try:
         return load_csv(f"/dev/fd/{read_fd}", label_column=label_column)
     finally:
         os.close(read_fd)
+        writer.join()
+
+
+def load_via(source, path, label_column=None):
+    """``load_csv`` of the file at ``path``, opened by name or read from a pipe."""
+    if source == "pipe":
+        return load_piped(path.read_bytes(), label_column=label_column)
+    return load_csv(path, label_column=label_column)
 
 
 class TestLoadCsv:
@@ -100,6 +120,13 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "e.csv", "")
         with pytest.raises(DataValidationError, match="empty file"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text", ["\n1,2\n", "\n\n"], ids=["rows", "blank"])
+    def test_blank_first_line_is_no_header(self, tmp_path, text):
+        path = write(tmp_path / "bh.csv", text)
+        message = f"^{re.escape(str(path))}: empty header row, expected column names$"
+        with pytest.raises(DataValidationError, match=message):
             load_csv(path)
 
     def test_header_only(self, tmp_path):
@@ -270,9 +297,25 @@ def csv_texts(draw):
     return eol.join(lines) + (eol if draw(st.booleans()) else "")
 
 
+@pytest.fixture(scope="module")
+def label_files(tmp_path_factory):
+    """Unlabelled CSV files of shapes (100, 5001) and (1, 2), columns named
+    c0, c1, ...; columns 0, p // 2 and p - 1 hold 0/1 values."""
+    rng = np.random.default_rng(0)
+    paths = {}
+    for n, p in [(100, 5001), (1, 2)]:
+        X = rng.standard_normal((n, p))
+        for j in (0, p // 2, p - 1):
+            X[:, j] = rng.integers(0, 2, n)
+        paths[n, p] = tmp_path_factory.mktemp("labels") / f"{n}x{p}.csv"
+        save_csv(Dataset(X, columns=[f"c{j}" for j in range(p)]), paths[n, p])
+    return paths
+
+
 class TestLoadCsvPaths:
-    """``load_csv`` parses the body in one numpy pass and falls back to the
-    row-by-row parser; both must give exactly the plain reference's result."""
+    """``load_csv`` parses the body in chunks, each one numpy pass, and falls
+    back to the row-by-row parser from the first chunk that pass refuses; both
+    must give exactly the plain reference's result."""
 
     # The ignore mark must stay above the error mark: on a failure the
     # hypothesis plugin's report hook warns, and as an error that aborts the run.
@@ -349,9 +392,9 @@ class TestLoadCsvPaths:
         'label,a,b\n1,0.5,2\n0,"1",3e-5\n1,4,5\n',
     ], ids=["clean", "quoted_cell"])
     def test_pipe_matches_file(self, tmp_path, text):
-        # A pipe cannot seek: its body takes the numpy pass from the lines
-        # past the header the first read took, and a refused body (the quoted
-        # cell) is parsed again by the fallback from the lines that pass kept.
+        # A pipe's body is read as a file's is, in one pass over chunks of
+        # lines: the clean text is one chunk for the numpy pass, and the
+        # quoted cell sends its chunk to the row-by-row fallback.
         want = load_csv(write(tmp_path / "f.csv", text), label_column="label")
         got = load_piped(text, label_column="label")
         assert got.columns == want.columns
@@ -386,22 +429,71 @@ class TestLoadCsvPaths:
             load_piped(data, label_column="label")
 
     def test_non_utf8_byte_in_pipe_named(self):
-        # The byte stops the numpy pass; the fallback reads the kept lines,
-        # which are clean, and then meets the byte again.
+        # The clean lines before the byte are parsed as one chunk, and the
+        # byte's decode error is raised when the next chunk is read.
         data = "a,b\n".encode() + "".join(f"{i},{i}.5\n" for i in range(2000)).encode() + b"1,\xfe\n"
         with pytest.raises(DataValidationError, match=r"^/dev/fd/\d+: not UTF-8 text \(byte 0xfe\)$"):
             load_piped(data)
 
+    @pytest.mark.parametrize("source", ["file", "pipe"])
     @pytest.mark.parametrize("shape, j", [
-        ((100, 5001), 0), ((100, 5001), 2500), ((100, 5001), 5000),
-        ((1000, 3), 1), ((1, 2), 0), ((1, 2), 1),
+        ((100, 5001), 0), ((100, 5001), 2500), ((100, 5001), 5000), ((1, 2), 0), ((1, 2), 1),
     ])
-    def test_drop_column_matches_np_delete(self, shape, j):
-        X = np.random.default_rng(0).standard_normal(shape)
-        want = np.delete(X, j, axis=1)
-        got = dataio._drop_column(X.copy(), j)
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    def test_label_column_dropped_as_np_delete(self, label_files, shape, j, source):
+        # The label column is split off each chunk of rows as it is parsed.
+        path = label_files[shape]
+        whole = load_csv(path)
+        got = load_via(source, path, label_column=f"c{j}")
+        want = np.delete(whole.X, j, axis=1)
+        assert got.X.shape == want.shape
+        np.testing.assert_array_equal(got.X.view(np.int64), want.view(np.int64))
+        assert got.y.tolist() == whole.X[:, j].tolist()
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_bad_cell_past_first_chunk_named(self, tmp_path, source):
+        path = tmp_path / "late.csv"
+        path.write_text("a,b\n" + "1,2\n" * 30000 + "3,x\n" + "5,6\n" * 10)
+        with pytest.raises(DataValidationError,
+                           match="row 30002, column 'b': could not parse 'x' as a number$"):
+            load_via(source, path)
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_fallback_past_first_chunk_reads_the_rest(self, tmp_path, source):
+        # A quoted cell, which only the fallback takes, in a later chunk: the
+        # rows before it keep their numpy parse, and the fallback parses every
+        # row from its chunk on.
+        path = tmp_path / "quoted.csv"
+        path.write_text("label,a\n" + "1,2\n" * 30000 + '0,"4"\n' + "1,6\n" * 20000)
+        d = load_via(source, path, label_column="label")
+        assert d.X.shape == (50001, 1)
+        assert d.X[30000, 0] == 4.0 and d.y[30000] == 0
+        assert set(d.X[:30000, 0]) == {2.0} and set(d.X[30001:, 0]) == {6.0}
+        assert set(d.y[:30000]) == set(d.y[30001:]) == {1}
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_multiline_quoted_cell_across_chunks(self, tmp_path, source):
+        # The quoted cell opens on the last line of the second chunk and
+        # closes in the third; the fallback reads on across the boundary.
+        lines = ["1,2\n"] * (2 * dataio._BLOCK // 4 - 1) + ['"4' + " " * 8 + "\n", '",5\n']
+        text = "".join(lines) + "6,7\n" * 10
+        chunks = list(dataio._chunks(io.StringIO(text, newline="")))
+        assert chunks[1][-1] == lines[-2]
+        path = tmp_path / "multiline.csv"
+        path.write_text("a,b\n" + text)
+        d = load_via(source, path)
+        assert d.X.shape == (len(lines) - 1 + 10, 2)
+        np.testing.assert_array_equal(d.X[-12:-9], [[1.0, 2.0], [4.0, 5.0], [6.0, 7.0]])
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_bad_cell_then_byte_in_one_chunk(self, tmp_path, source):
+        # The bad cell and the byte lie in the same chunk of lines, more than
+        # one decode block (8 KB) apart: the lines read before the byte are
+        # parsed first, so the bad cell is named.
+        path = tmp_path / "cell_then_byte.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 20000 + b"3,x\n" + b"1,2\n" * 3000 + b"\xff\n")
+        with pytest.raises(DataValidationError,
+                           match="row 20002, column 'b': could not parse 'x' as a number$"):
+            load_via(source, path)
 
     def test_multiline_quoted_header_name(self, tmp_path):
         d = load_csv(write(tmp_path / "mh.csv", '"gene\nname",b\n1,2\n3,4\n'))
@@ -419,24 +511,28 @@ class TestLoadCsvPaths:
             load_csv(path)
 
     def test_peak_memory_holds_no_list_of_lines(self, tmp_path):
-        # The body reaches loadtxt line by line from the file, and the label
-        # column is dropped in the parsed matrix's own buffer, so the peak is
-        # that matrix and loadtxt's working space: 1.43 times the matrix.  A
-        # copy without the label column made it 2.21 times; the body as one
-        # string would add twice the file, five times the matrix in all.
+        # The body is read in chunks of about _BLOCK characters, each parsed
+        # and added to the output, less its label column, before the next is
+        # read, so the peak is the matrix and one chunk's working space: 1.31
+        # times the matrix, from a file or a pipe.  Keeping a pipe's lines for
+        # a second read made it 3.89 times; a copy without the label column,
+        # 2.21 times; the body as one string, five times.
         rng = np.random.default_rng(0)
         d = Dataset(rng.standard_normal((100, 2000)), np.arange(100) % 2)
         path = tmp_path / "wide.csv"
         save_csv(d, path)
-        load_csv(path, label_column="label")  # first-call allocations
-        tracemalloc.start()
-        try:
-            back = load_csv(path, label_column="label")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(back.X, d.X)
-        assert peak < 1.6 * d.X.nbytes
+        data = path.read_bytes()
+        for source, load in [("file", lambda: load_csv(path, label_column="label")),
+                             ("pipe", lambda: load_piped(data, label_column="label"))]:
+            load()  # first-call allocations
+            tracemalloc.start()
+            try:
+                back = load()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(back.X, d.X)
+            assert peak < 1.6 * d.X.nbytes, source
 
 
 class TestStatePersistence:
